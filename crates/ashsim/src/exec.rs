@@ -9,11 +9,18 @@
 //! edges and channel capacity. Memory operations go through a load-store
 //! queue with a configurable number of ports (§7.3).
 //!
-//! Functional determinism follows from Kahn-network discipline: each channel
-//! delivers values in order, merges pop in global arrival order, and
-//! run-time constants are modeled as always-available *sticky* sources.
+//! Runs are deterministic: each channel delivers values in order, merges
+//! pop in global arrival order, and run-time constants are modeled as
+//! always-available *sticky* sources, so the outcome is a pure function
+//! of (circuit, arguments, configuration). That is *not* Kahn-network
+//! functional determinism: because a merge pops by arrival order, its
+//! result can depend on timing. A loop whose entry value arrives late
+//! (a load feeding the variable before the loop) and whose body
+//! overwrites the variable with a value independent of it can return a
+//! different result at a different memory latency (see the ignored
+//! `late_entry_value_survives_a_constant_loop_overwrite` test in
+//! `tests/end_to_end.rs`).
 
-use crate::backend::{backend_for, BackendKind};
 use crate::critpath::{self, CritState, CritSummary, EdgeClass, NO_REC};
 use crate::memory::{Machine, MemStats, MemSystem};
 use crate::profile::{kind_label, NodeProfile, SimProfile, StallCause};
@@ -55,11 +62,6 @@ pub struct SimConfig {
     /// scales with total channel activity (comparable to `trace`); the
     /// uninstrumented path pays only a branch per hook site.
     pub waves: bool,
-    /// Which simulator backend executes the circuit. Defaults to the
-    /// `CASH_BACKEND` environment variable (`event` when unset); both
-    /// backends are observationally identical (see `tests/backend_equiv`),
-    /// so this only trades simulation wall time.
-    pub backend: BackendKind,
 }
 
 impl Default for SimConfig {
@@ -74,7 +76,6 @@ impl Default for SimConfig {
             trace: false,
             critpath: false,
             waves: false,
-            backend: BackendKind::from_env(),
         }
     }
 }
@@ -103,13 +104,6 @@ impl SimConfig {
         self.waves = waves;
         self
     }
-
-    /// This configuration pinned to a specific backend (ignoring
-    /// `CASH_BACKEND`) — differential tests and goldens use this.
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        self
-    }
 }
 
 /// The outcome of a completed simulation.
@@ -132,8 +126,6 @@ pub struct SimResult {
     /// Wall-clock time the simulation took, microseconds (the simulator's
     /// own cost, not the simulated circuit's — mirrors `opt.us`).
     pub wall_us: u64,
-    /// Which backend produced this result (`"event"` or `"compiled"`).
-    pub backend: &'static str,
     /// Per-node firing/stall profile ([`SimConfig::profile`]).
     pub profile: Option<SimProfile>,
     /// Recorded event stream ([`SimConfig::trace`]).
@@ -152,14 +144,13 @@ impl SimResult {
     pub fn to_json(&self) -> String {
         use std::fmt::Write;
         let mut s = format!(
-            "{{\"ret\":{},\"cycles\":{},\"fired\":{},\"deferrals\":{},\"us\":{},\"mem\":{},\"backend\":\"{}\"",
+            "{{\"ret\":{},\"cycles\":{},\"fired\":{},\"deferrals\":{},\"us\":{},\"mem\":{}",
             self.ret.map_or("null".to_string(), |v| v.to_string()),
             self.cycles,
             self.fired,
             self.deferrals,
             self.wall_us,
             self.stats.to_json(),
-            self.backend,
         );
         if let Some(p) = &self.profile {
             // Stall-cause totals across all nodes, same keys as the
@@ -270,8 +261,7 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Runs `graph` on `machine` with the given arguments, dispatching to the
-/// backend selected in `config` (see [`BackendKind`]).
+/// Runs `graph` on `machine` with the given arguments.
 ///
 /// # Errors
 ///
@@ -282,15 +272,12 @@ pub fn simulate(
     args: &[i64],
     config: &SimConfig,
 ) -> Result<SimResult, SimError> {
-    observe(|| backend_for(config.backend).run(graph, machine, args, config))
+    observe(|| Executor::new(graph, machine, args, config).and_then(Executor::run))
 }
 
-/// Wraps one raw backend run with the shared telemetry (span, metrics,
-/// flight note) and stamps the wall time. Every public simulation entry
-/// point funnels through here so both backends report identically.
-pub(crate) fn observe(
-    run: impl FnOnce() -> Result<SimResult, SimError>,
-) -> Result<SimResult, SimError> {
+/// Wraps one raw executor run with the shared telemetry (span, metrics,
+/// flight note) and stamps the wall time.
+fn observe(run: impl FnOnce() -> Result<SimResult, SimError>) -> Result<SimResult, SimError> {
     let sp = obs::span::enter("sim.run");
     let out = run();
     let wall_us = sp.end_us();
@@ -310,17 +297,6 @@ pub(crate) fn observe(
             Err(e)
         }
     }
-}
-
-/// The event backend's raw entry point: no telemetry wrapper, no wall-time
-/// stamp (see [`observe`]).
-pub(crate) fn run_event(
-    graph: &Graph,
-    machine: &mut Machine,
-    args: &[i64],
-    config: &SimConfig,
-) -> Result<SimResult, SimError> {
-    Executor::new(graph, machine, args, config).and_then(Executor::run)
 }
 
 /// Diagnostic: runs the graph and, on failure, returns a textual dump of
@@ -684,7 +660,7 @@ impl<'a> Executor<'a> {
         }
     }
 
-    fn run(mut self) -> Result<SimResult, SimError> {
+    pub(crate) fn run(mut self) -> Result<SimResult, SimError> {
         loop {
             match self.step_once() {
                 Ok(Some(r)) => return Ok(r),
@@ -978,7 +954,6 @@ impl<'a> Executor<'a> {
             fired: self.fired,
             deferrals: self.deferrals,
             wall_us: 0, // stamped by the public entry points
-            backend: BackendKind::Event.label(),
             profile,
             trace,
             crit,
@@ -1617,7 +1592,7 @@ fn sticky_of(sticky: &[Option<i64>], src: Src) -> Option<i64> {
     }
 }
 
-pub(crate) fn alu_latency(op: BinOp) -> u64 {
+fn alu_latency(op: BinOp) -> u64 {
     match op {
         BinOp::Mul => 3,
         BinOp::Div | BinOp::Rem => 20,

@@ -39,8 +39,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod backend;
-pub mod compile;
 pub mod critpath;
 pub mod exec;
 pub mod memory;
@@ -49,10 +47,7 @@ pub mod replay;
 mod sched;
 pub mod trace;
 pub mod wavecap;
-pub mod waves;
 
-pub use backend::{backend_for, BackendKind, CompiledBackend, EventBackend, SimBackend};
-pub use compile::{InPortView, LoweredProgram, OpView};
 pub use critpath::{CritEdge, CritSummary, EdgeClass};
 pub use exec::{diagnose, simulate, BlockedNode, SimConfig, SimError, SimResult};
 pub use memory::{CacheParams, Machine, MemStats, MemSystem, MemTimeline};
@@ -60,7 +55,6 @@ pub use profile::{kind_label, NodeProfile, SimProfile, StallCause};
 pub use replay::{Breakpoint, Cmp, Replay, StopReason};
 pub use trace::{Trace, TraceEvent};
 pub use wavecap::{stall_code, stall_label, Wave};
-pub use waves::{simulate_lowered, BatchRunner};
 
 #[cfg(test)]
 mod tests {

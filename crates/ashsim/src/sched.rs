@@ -1,9 +1,7 @@
-//! Scheduling machinery shared by both simulator backends: the channel
+//! Scheduling machinery for the executor ([`crate::exec`]): the channel
 //! FIFO slab, the calendar event queue, and the small in-flight record
 //! types (deliveries, LSQ requests, pending memory outputs, token
-//! generators). The event backend ([`crate::exec`]) and the compiled
-//! backend ([`crate::waves`]) must agree bit-for-bit on ordering, so they
-//! share these structures instead of reimplementing them.
+//! generators).
 
 use pegasus::NodeId;
 use std::cmp::Reverse;
@@ -32,7 +30,7 @@ pub(crate) struct MemRequest {
     pub(crate) fire: u32,
 }
 
-/// One outstanding output slot of a memory node (see the executors'
+/// One outstanding output slot of a memory node (see the executor's
 /// `mem_out` fields).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum PendingOut {
@@ -60,7 +58,7 @@ pub(crate) struct TokenGenState {
     pub(crate) last_arrival: Option<(u64, u32, u8)>,
 }
 
-/// Capacity of the executors' always-on recent-firings ring.
+/// Capacity of the executor's always-on recent-firings ring.
 pub(crate) const RECENT_CAP: usize = 64;
 
 /// Orderable wrapper so the overflow heap can hold events (events are not
@@ -92,7 +90,7 @@ impl Ord for EvBox {
 /// slab replaces a heap block per port.
 #[derive(Clone)]
 pub(crate) struct PortFifos {
-    pub(crate) cap: usize,
+    cap: usize,
     slots: Vec<(u64, i64)>,
     head: Vec<u32>,
     len: Vec<u32>,
@@ -124,18 +122,6 @@ impl PortFifos {
             None
         } else {
             Some(self.slots[p * self.cap + self.head[p] as usize])
-        }
-    }
-
-    /// Oldest sequence number waiting on port `p`, or `u64::MAX` when the
-    /// FIFO is empty — branch-free form of [`Self::front`] for merge
-    /// arbitration loops.
-    #[inline]
-    pub(crate) fn front_seq_or_max(&self, p: usize) -> u64 {
-        if self.len[p] == 0 {
-            u64::MAX
-        } else {
-            self.slots[p * self.cap + self.head[p] as usize].0
         }
     }
 

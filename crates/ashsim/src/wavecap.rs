@@ -1,12 +1,10 @@
 //! Cycle-accurate waveform capture: a compressed columnar change-list
-//! store fed by the executors' delivery/fire hooks, exportable as VCD.
+//! store fed by the executor's delivery/fire hooks, exportable as VCD.
 //!
 //! # Capture model
 //!
-//! When [`SimConfig::waves`](crate::SimConfig) is on, both backends call
-//! into a [`WaveState`] at the same five hook points (the sites are
-//! mirrored line-for-line between the event interpreter and the compiled
-//! executor, like the critpath recorder):
+//! When [`SimConfig::waves`](crate::SimConfig) is on, the executor calls
+//! into a [`WaveState`] at five hook points:
 //!
 //! - **value** — at delivery, per flat *output* port: recorded only when
 //!   the value differs from the last recorded one (a change list, not a
@@ -21,10 +19,9 @@
 //! Each signal owns one append-only vector ("one change vector per
 //! signal"), slot-indexed off the same dense flat-port ids as the
 //! `PortFifos` slab — no maps, no per-event allocation beyond the vector
-//! growth itself. Because both backends share the pinned `(cycle, seq)`
-//! delivery order, their captures are element-identical, and the VCD they
-//! render is **byte-identical** (asserted by `tests/waves.rs` across all
-//! 16 kernels).
+//! growth itself. Because the pinned `(cycle, seq)` delivery order leaves
+//! no scheduler nondeterminism, the capture — and the VCD it renders — is
+//! **byte-stable** across runs (asserted by the `tests/waves.rs` goldens).
 //!
 //! # VCD rendering
 //!

@@ -6,20 +6,19 @@
 //!
 //! ```text
 //! cargo run --release -p cash-bench --bin cashwave -- \
-//!     [KERNEL] [--opt LEVEL] [--arg N] [--backend event|compiled] [--out FILE]
+//!     [KERNEL] [--opt LEVEL] [--arg N] [--out FILE]
 //! ```
 //!
 //! Defaults to `g721_e` at `OptLevel::Full` with a small argument (waveform
 //! size grows with simulated activity), writing
 //! `target/waves/<kernel>_<level>.vcd`.
 
-use cash::{BackendKind, OptLevel, SimConfig};
+use cash::{OptLevel, SimConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut kernel = "g721_e".to_string();
     let mut level = OptLevel::Full;
-    let mut backend = BackendKind::Event;
     let mut arg_override: Option<i64> = None;
     let mut out_override: Option<String> = None;
     let mut i = 0;
@@ -39,13 +38,6 @@ fn main() {
                         .and_then(|s| s.parse().ok())
                         .unwrap_or_else(|| usage("--arg needs a number")),
                 );
-            }
-            "--backend" => {
-                i += 1;
-                backend = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--backend needs event|compiled"));
             }
             "--out" => {
                 i += 1;
@@ -69,7 +61,7 @@ fn main() {
     // the VCD stays browsable (override with --arg for full runs).
     let arg = arg_override.unwrap_or((w.default_arg / 8).max(1));
 
-    let cfg = SimConfig::perfect().with_backend(backend).with_waves(true);
+    let cfg = SimConfig::perfect().with_waves(true);
     let p = w.compile(level).unwrap_or_else(|e| panic!("{kernel}: {e}"));
     let r = p.simulate(&[arg], &cfg).unwrap_or_else(|e| panic!("{kernel}: {e}"));
     let wave = r.waves.as_ref().expect("waves were enabled");
@@ -86,7 +78,7 @@ fn main() {
     });
     std::fs::write(&path, &vcd).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!(
-        "cashwave: {kernel} {level} arg={arg} backend={backend} — {} cycles, {} signals, {} changes, {} bytes -> {path}",
+        "cashwave: {kernel} {level} arg={arg} — {} cycles, {} signals, {} changes, {} bytes -> {path}",
         r.cycles,
         wave.num_signals(),
         wave.num_changes(),
@@ -108,9 +100,6 @@ fn usage(err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("cashwave: {err}");
     }
-    eprintln!(
-        "usage: cashwave [KERNEL] [--opt none|basic|medium|full] [--arg N] \
-         [--backend event|compiled] [--out FILE]"
-    );
+    eprintln!("usage: cashwave [KERNEL] [--opt none|basic|medium|full] [--arg N] [--out FILE]");
     std::process::exit(2);
 }

@@ -55,7 +55,7 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(3.0);
 
-    // The perf_smoke pair: one control-heavy, one memory-heavy kernel.
+    // g721_e is control-heavy, 129.compress memory-heavy.
     let picks = ["g721_e", "129.compress"];
     let cfg = SimConfig::perfect();
     // Waveform capture spelled explicitly off: when disabled the capture

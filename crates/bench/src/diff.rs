@@ -332,13 +332,12 @@ pub fn field_u64(line: &str, key: &str) -> Option<u64> {
 
 /// Condenses one `BENCH_*.json` telemetry file into a single
 /// `cash-bench-history-v1` JSONL record carrying its headline numbers:
-/// summed `sim.cycles` and `sim.us` across all rows, plus the backend
-/// that produced them. `scripts/check.sh` appends one of these per
-/// regeneration, so `BENCH_history.jsonl` becomes the perf trajectory.
+/// summed `sim.cycles` and `sim.us` across all rows. `scripts/check.sh`
+/// appends one of these per regeneration, so `BENCH_history.jsonl`
+/// becomes the perf trajectory.
 /// Returns `None` when the file has no stats rows.
 pub fn history_record(text: &str) -> Option<String> {
     let mut bench: Option<String> = None;
-    let mut backend: Option<String> = None;
     let (mut cycles, mut us, mut rows) = (0u64, 0u64, 0u64);
     for line in text.lines() {
         let (Some(b), Some(c), Some(u)) = (
@@ -349,28 +348,26 @@ pub fn history_record(text: &str) -> Option<String> {
             continue;
         };
         bench.get_or_insert_with(|| b.to_string());
-        if backend.is_none() {
-            backend = field_str(line, "backend").map(str::to_string);
-        }
         cycles += c;
         us += u;
         rows += 1;
     }
     let bench = bench?;
     Some(format!(
-        "{{\"schema\":\"cash-bench-history-v1\",\"bench\":\"{bench}\",\"backend\":\"{}\",\
-         \"rows\":{rows},\"cycles\":{cycles},\"us\":{us}}}",
-        backend.unwrap_or_else(|| "?".into()),
+        "{{\"schema\":\"cash-bench-history-v1\",\"bench\":\"{bench}\",\
+         \"rows\":{rows},\"cycles\":{cycles},\"us\":{us}}}"
     ))
 }
 
 /// Renders the trend of a `BENCH_history.jsonl` file: per bench, every
 /// recorded run with its cycle and wall-time movement against the
 /// previous one. Cycles are deterministic (movement means the circuits
-/// changed); wall time is machine noise unless it trends.
+/// changed); wall time is machine noise unless it trends. Records from
+/// before the simulator had a single executor carry a `"backend"` key;
+/// it is ignored.
 pub fn history_trend(text: &str) -> String {
     let mut order: Vec<String> = Vec::new();
-    let mut by: HashMap<String, Vec<(String, u64, u64)>> = HashMap::new();
+    let mut by: HashMap<String, Vec<(u64, u64)>> = HashMap::new();
     for line in text.lines() {
         if field_str(line, "schema") != Some("cash-bench-history-v1") {
             continue;
@@ -380,11 +377,10 @@ pub fn history_trend(text: &str) -> String {
         else {
             continue;
         };
-        let backend = field_str(line, "backend").unwrap_or("?").to_string();
         if !by.contains_key(bench) {
             order.push(bench.to_string());
         }
-        by.entry(bench.to_string()).or_default().push((backend, cycles, us));
+        by.entry(bench.to_string()).or_default().push((cycles, us));
     }
     let mut s = String::new();
     if order.is_empty() {
@@ -401,26 +397,22 @@ pub fn history_trend(text: &str) -> String {
     for bench in &order {
         let runs = &by[bench];
         let _ = writeln!(s, "{bench}: {} recorded run{}", runs.len(), plural(runs.len()));
-        let mut prev: Option<&(String, u64, u64)> = None;
-        for (i, run) in runs.iter().enumerate() {
-            let (backend, cycles, us) = run;
+        let mut prev: Option<(u64, u64)> = None;
+        for (i, &(cycles, us)) in runs.iter().enumerate() {
             match prev {
                 None => {
-                    let _ = writeln!(
-                        s,
-                        "  #{i:<3} {backend:<8} {cycles:>12} cycles {us:>10} us  (baseline)"
-                    );
+                    let _ = writeln!(s, "  #{i:<3} {cycles:>12} cycles {us:>10} us  (baseline)");
                 }
-                Some((_, pc, pu)) => {
+                Some((pc, pu)) => {
                     let _ = writeln!(
                         s,
-                        "  #{i:<3} {backend:<8} {cycles:>12} cycles {us:>10} us  ({:+.1}% cycles, {:+.1}% us)",
-                        pct(*pc, *cycles),
-                        pct(*pu, *us),
+                        "  #{i:<3} {cycles:>12} cycles {us:>10} us  ({:+.1}% cycles, {:+.1}% us)",
+                        pct(pc, cycles),
+                        pct(pu, us),
                     );
                 }
             }
-            prev = Some(run);
+            prev = Some((cycles, us));
         }
     }
     s
@@ -563,7 +555,7 @@ mod tests {
         let rec = history_record(&text).unwrap();
         assert_eq!(
             rec,
-            "{\"schema\":\"cash-bench-history-v1\",\"bench\":\"fig19\",\"backend\":\"event\",\
+            "{\"schema\":\"cash-bench-history-v1\",\"bench\":\"fig19\",\
              \"rows\":2,\"cycles\":350,\"us\":10}"
         );
         assert!(history_record("not json\n").is_none());
@@ -574,7 +566,7 @@ mod tests {
         let h = |c: u64, u: u64| {
             format!(
                 "{{\"schema\":\"cash-bench-history-v1\",\"bench\":\"fig19\",\
-                 \"backend\":\"event\",\"rows\":2,\"cycles\":{c},\"us\":{u}}}"
+                 \"rows\":2,\"cycles\":{c},\"us\":{u}}}"
             )
         };
         let trend = history_trend(&format!("{}\n{}\n{}\n", h(1000, 50), h(1000, 55), h(1200, 40)));
@@ -583,5 +575,36 @@ mod tests {
         assert!(trend.contains("+0.0% cycles"), "{trend}");
         assert!(trend.contains("+20.0% cycles"), "{trend}");
         assert!(history_trend("").contains("no history records"));
+    }
+
+    #[test]
+    fn history_trend_reads_records_with_and_without_backend() {
+        let old = |backend: &str, c: u64, u: u64| {
+            format!(
+                "{{\"schema\":\"cash-bench-history-v1\",\"bench\":\"fig19\",\
+                 \"backend\":\"{backend}\",\"rows\":2,\"cycles\":{c},\"us\":{u}}}"
+            )
+        };
+        let new = |c: u64, u: u64| {
+            format!(
+                "{{\"schema\":\"cash-bench-history-v1\",\"bench\":\"fig19\",\
+                 \"rows\":2,\"cycles\":{c},\"us\":{u}}}"
+            )
+        };
+        let text =
+            [old("event", 1000, 100), old("compiled", 1000, 80), new(1100, 80), new(990, 120)]
+                .join("\n");
+        let trend = history_trend(&text);
+        let words = trend.split_whitespace().collect::<Vec<_>>().join(" ");
+        assert!(words.contains("fig19: 4 recorded runs"), "{trend}");
+        assert!(!words.contains("event") && !words.contains("compiled"), "{trend}");
+        for want in [
+            "#0 1000 cycles 100 us (baseline)",
+            "#1 1000 cycles 80 us (+0.0% cycles, -20.0% us)",
+            "#2 1100 cycles 80 us (+10.0% cycles, +0.0% us)",
+            "#3 990 cycles 120 us (-10.0% cycles, +50.0% us)",
+        ] {
+            assert!(words.contains(want), "missing {want:?} in\n{trend}");
+        }
     }
 }

@@ -1,8 +1,6 @@
 //! Shared helpers for the table/figure harness binaries.
 
-use cash::{
-    CacheParams, MemSystem, OptLevel, Program, ProgramBatch, SimConfig, SimResult, StatsRecord,
-};
+use cash::{CacheParams, MemSystem, OptLevel, Program, SimConfig, SimResult, StatsRecord};
 use workloads::Workload;
 
 /// The memory systems of the Figure 19 sweep: perfect memory plus the
@@ -34,22 +32,16 @@ pub fn run(w: &Workload, level: OptLevel, cfg: &SimConfig) -> SimResult {
 /// emit its optimizer telemetry alongside the simulation statistics.
 pub fn run_compiled(w: &Workload, level: OptLevel, cfg: &SimConfig) -> (Program, SimResult) {
     let p = w.compile(level).unwrap_or_else(|e| panic!("{} at {level}: {e}", w.name));
-    let r = run_batch(w, &p.batch(), level, cfg);
+    let r = run_program(w, &p, level, cfg);
     (p, r)
 }
 
-/// One run through a [`ProgramBatch`] (see [`Program::batch`]) with the
-/// harness's loud failure handling and reference check. Config-row sweeps
-/// compile a workload once per level and push every memory system through
-/// the same batch, so the compiled backend lowers each circuit once.
-pub fn run_batch(
-    w: &Workload,
-    batch: &ProgramBatch<'_>,
-    level: OptLevel,
-    cfg: &SimConfig,
-) -> SimResult {
+/// One run of an already-compiled workload with the harness's loud
+/// failure handling and reference check. Config-row sweeps compile a
+/// workload once per level and run every memory system on that program.
+pub fn run_program(w: &Workload, p: &Program, level: OptLevel, cfg: &SimConfig) -> SimResult {
     let r =
-        batch.run(&[w.default_arg], cfg).unwrap_or_else(|e| panic!("{} at {level}: {e}", w.name));
+        p.simulate(&[w.default_arg], cfg).unwrap_or_else(|e| panic!("{} at {level}: {e}", w.name));
     let expect = (w.reference)(w.default_arg);
     assert_eq!(r.ret, Some(expect), "{} at {level} diverged from reference", w.name);
     r

@@ -41,10 +41,9 @@ pub mod par;
 pub mod stats;
 
 pub use ashsim::{
-    diagnose, kind_label, stall_label, BackendKind, BlockedNode, Breakpoint, CacheParams, Cmp,
-    CritEdge, CritSummary, EdgeClass, Machine, MemStats, MemSystem, MemTimeline, NodeProfile,
-    Replay, SimBackend, SimConfig, SimError, SimProfile, SimResult, StallCause, StopReason, Trace,
-    TraceEvent, Wave,
+    diagnose, kind_label, stall_label, BlockedNode, Breakpoint, CacheParams, Cmp, CritEdge,
+    CritSummary, EdgeClass, Machine, MemStats, MemSystem, MemTimeline, NodeProfile, Replay,
+    SimConfig, SimError, SimProfile, SimResult, StallCause, StopReason, Trace, TraceEvent, Wave,
 };
 pub use lint::{lint, LintConfig, LintDiag, LintReport, Rule as LintRule};
 pub use obs::SpanRec;
@@ -269,15 +268,6 @@ impl Program {
         Ok(ashsim::simulate(&self.graph, &mut machine, args, config)?)
     }
 
-    /// A handle for running this program many times (argument sweeps,
-    /// memory-system rows, seed batches) with shared compile work: under
-    /// [`BackendKind::Compiled`] the circuit is lowered to bytecode once,
-    /// lazily, and every run reuses it. Results are bit-identical to
-    /// per-run [`Program::simulate`] under either backend.
-    pub fn batch(&self) -> ProgramBatch<'_> {
-        ProgramBatch { program: self, runner: std::cell::OnceCell::new() }
-    }
-
     /// Runs the program on a caller-provided machine (to inspect memory
     /// afterwards).
     ///
@@ -365,49 +355,6 @@ impl Program {
     /// Number of live nodes in the circuit (the paper's IR-size metric).
     pub fn circuit_size(&self) -> usize {
         self.graph.live_count()
-    }
-}
-
-/// A [`Program`] prepared for repeated runs (see [`Program::batch`]).
-///
-/// Lowering happens at most once, on the first run that needs it, so a
-/// batch whose configs all select the event backend pays nothing.
-pub struct ProgramBatch<'p> {
-    program: &'p Program,
-    runner: std::cell::OnceCell<ashsim::BatchRunner<'p>>,
-}
-
-impl ProgramBatch<'_> {
-    /// One run on a fresh machine, honoring `config.backend`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation failures (deadlock, cycle limit, missing
-    /// arguments).
-    pub fn run(&self, args: &[i64], config: &SimConfig) -> Result<SimResult, Error> {
-        let mut machine = self.program.machine(config.mem.clone());
-        self.run_on(&mut machine, args, config)
-    }
-
-    /// One run on a caller-provided machine (to inspect memory afterwards).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation failures.
-    pub fn run_on(
-        &self,
-        machine: &mut Machine,
-        args: &[i64],
-        config: &SimConfig,
-    ) -> Result<SimResult, Error> {
-        match config.backend {
-            BackendKind::Compiled => {
-                let runner =
-                    self.runner.get_or_init(|| ashsim::BatchRunner::new(&self.program.graph));
-                Ok(runner.run(machine, args, config)?)
-            }
-            BackendKind::Event => Ok(ashsim::simulate(&self.program.graph, machine, args, config)?),
-        }
     }
 }
 

@@ -10,12 +10,8 @@
 //! All serializers in the dialect emit keys in a fixed order with no
 //! whitespace, so records for identical runs are byte-identical.
 //!
-//! Additive `sim` keys (the schema tag stays `v1`; old consumers ignore
-//! them): `"backend"` labels which simulator implementation produced the
-//! record (`"event"` or `"compiled"`, see [`crate::BackendKind`]). Both
-//! backends are bit-identical in every other field, so comparisons across
-//! records may treat `"backend"`, like `"us"`, as a wall-time-style
-//! provenance field rather than an outcome.
+//! Records written before the simulator had a single executor may carry
+//! an extra `sim` key, `"backend"`; readers treat it as optional.
 
 use crate::{OptReport, SimResult, SpanRec};
 use std::fmt::Write;

@@ -25,20 +25,34 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// Deepest statement/expression nesting the parser accepts. Each nested
+/// statement, expression (a parenthesized one, a call argument, an index)
+/// and prefix operator counts one level, so a parenthesized expression
+/// costs two: about 60 nested parentheses or 125 nested blocks fit. Past
+/// the limit parsing fails with a diagnostic instead of overflowing the
+/// stack — the recursive descent, and the recursive passes after it, use
+/// stack proportional to the nesting depth. At this limit the deepest
+/// accepted shapes still compile and simulate in an unoptimized build on a
+/// 2 MB thread stack (the default for spawned threads).
+const MAX_NESTING: u32 = 128;
+
 /// Parses a MiniC translation unit.
 ///
 /// # Errors
 ///
-/// Returns the first lexical or syntactic error encountered.
+/// Returns the first lexical or syntactic error encountered, including
+/// statements or expressions nested too deeply to parse safely.
 pub fn parse(src: &str) -> Result<Program, ParseError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser { toks, pos: 0, depth: 0 };
     p.program()
 }
 
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    /// Current nesting depth (see [`MAX_NESTING`]).
+    depth: u32,
 }
 
 impl Parser {
@@ -81,6 +95,20 @@ impl Parser {
 
     fn err(&self, msg: String) -> ParseError {
         ParseError { line: self.line(), msg }
+    }
+
+    /// Runs `parse` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let r = parse(self);
+        self.depth -= 1;
+        r
     }
 
     fn ident(&mut self) -> Result<String, ParseError> {
@@ -300,6 +328,10 @@ impl Parser {
     // ---- statements ----
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Self::stmt_unnested)
+    }
+
+    fn stmt_unnested(&mut self) -> Result<Stmt, ParseError> {
         let line = self.line();
         match self.peek().clone() {
             Tok::PragmaIndependent(p, q) => {
@@ -421,7 +453,7 @@ impl Parser {
     // ---- expressions (precedence climbing) ----
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.assignment()
+        self.nested(Self::assignment)
     }
 
     fn assignment(&mut self) -> Result<Expr, ParseError> {
@@ -442,7 +474,7 @@ impl Parser {
             _ => return Ok(lhs),
         };
         self.bump();
-        let rhs = self.assignment()?;
+        let rhs = self.expr()?;
         Ok(Expr { kind: ExprKind::Assign { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }, line })
     }
 
@@ -452,7 +484,7 @@ impl Parser {
         if self.eat(&Tok::Question) {
             let t = self.expr()?;
             self.expect(&Tok::Colon)?;
-            let e = self.ternary()?;
+            let e = self.nested(Self::ternary)?;
             Ok(Expr {
                 kind: ExprKind::Cond { c: Box::new(c), t: Box::new(t), e: Box::new(e) },
                 line,
@@ -502,6 +534,10 @@ impl Parser {
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Self::unary_unnested)
+    }
+
+    fn unary_unnested(&mut self) -> Result<Expr, ParseError> {
         let line = self.line();
         let op = match self.peek() {
             Tok::Minus => Some(Un::Neg),

@@ -74,3 +74,20 @@ fn diagnostics_carry_the_failing_line_number() {
     let src = "int main(void) {\n  int x = 0;\n  x += ;\n  return x;\n}";
     assert_eq!(diagnostic(src), "parse error: line 3: expected expression, found Semi");
 }
+
+/// Deep nesting ends in a line-numbered diagnostic, not a stack overflow
+/// that aborts the process; nesting well inside the limit still compiles.
+#[test]
+fn deep_nesting_is_a_diagnostic_not_a_crash() {
+    let parens =
+        |n: usize| format!("int main(int n) {{\n  return {}n{};\n}}", "(".repeat(n), ")".repeat(n));
+    let blocks =
+        |n: usize| format!("int main(int n) {{\n  {}return n;{}\n}}", "{".repeat(n), "}".repeat(n));
+    for src in [parens(10_000), blocks(10_000)] {
+        let msg = diagnostic(&src);
+        assert!(msg.starts_with("parse error: line 2: nesting deeper than"), "{msg}");
+    }
+    for src in [parens(60), blocks(120)] {
+        compile_to_module(&src).unwrap_or_else(|e| panic!("{e}"));
+    }
+}

@@ -6,8 +6,8 @@
 //! identifier codes are assigned in variable-declaration order, and value
 //! changes are emitted grouped by ascending timestamp with a stable sort,
 //! so insertion order breaks ties. Two captures with identical signals
-//! and changes render to identical bytes — the waveform goldens and the
-//! dual-backend equivalence test rely on this.
+//! and changes render to identical bytes — the waveform goldens rely on
+//! this.
 //!
 //! Only the subset of VCD that GTKWave needs is produced: `$timescale`,
 //! nested `$scope module` declarations, `wire` variables of 1–64 bits,

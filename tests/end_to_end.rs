@@ -288,8 +288,8 @@ fn deep_expression_nesting() {
 
 #[test]
 fn results_are_invariant_under_hardware_sizing() {
-    // Kahn-network determinism: channel depth, LSQ ports and LSQ size are
-    // pure timing knobs — results and memory traffic must not change.
+    // Channel depth, LSQ ports and LSQ size are timing knobs: on this
+    // program results and memory traffic must not change with them.
     let src = "
         int a[64]; int b[65];
         int main(int n) {
@@ -347,4 +347,24 @@ fn global_scalar_initializers_load_correctly() {
         const int k = 1;
         int main(void) { return g + k; }";
     assert_eq!(run_full(src, &[]), 42);
+}
+
+/// A variable set before a loop from a load, then overwritten in the loop
+/// with a value that does not depend on it. The loop-header merge can
+/// receive the constant back-edge value before the late entry value and,
+/// popping by arrival order, return the stale one: the result is 5 at
+/// memory latency 0 or 1 and 0 at latency 2 or 8, at `None` and `Full`
+/// alike. With `x = x + 5` in the body the result is correct.
+#[test]
+#[ignore = "known miscompile: the loop-header merge pops by arrival order, so a late entry value loses to the back edge"]
+fn late_entry_value_survives_a_constant_loop_overwrite() {
+    let src = "int g[4]; int main(int n) { int x = g[n & 3]; for (int i = 0; i < 1; i++) x = 5; return x; }";
+    for level in [OptLevel::None, OptLevel::Full] {
+        let p = Compiler::new().level(level).compile(src).unwrap();
+        for latency in [1u64, 2, 8] {
+            let cfg = SimConfig { mem: MemSystem::Perfect { latency }, ..SimConfig::default() };
+            let r = p.simulate(&[0], &cfg).unwrap();
+            assert_eq!(r.ret, Some(5), "{level} at latency {latency}");
+        }
+    }
 }

@@ -16,7 +16,7 @@
 //! UPDATE_GOLDEN=1 cargo test -q -p cash-integration --test sim_determinism
 //! ```
 
-use cash::{BackendKind, CacheParams, Compiler, MemSystem, OptLevel, SimConfig, SimResult};
+use cash::{CacheParams, Compiler, MemSystem, OptLevel, SimConfig, SimResult};
 use refinterp::gen;
 use std::fmt::Write;
 
@@ -40,22 +40,17 @@ fn line(name: &str, level: &str, system: &str, r: &SimResult) -> String {
     s
 }
 
-/// The golden file was captured from the event-queue implementation; the
-/// corpus is parameterized by backend so the compiled backend is pinned
-/// against the *same* outcomes (the golden line format contains no
-/// backend- or wall-time-dependent field).
-fn perfect(backend: BackendKind) -> SimConfig {
+/// The golden line format contains no wall-time-dependent field.
+fn perfect() -> SimConfig {
     SimConfig { mem: MemSystem::Perfect { latency: 2 }, ..SimConfig::default() }
-        .with_backend(backend)
 }
 
-fn hierarchy(backend: BackendKind) -> SimConfig {
+fn hierarchy() -> SimConfig {
     SimConfig { mem: MemSystem::Hierarchy(CacheParams::default()), ..SimConfig::default() }
-        .with_backend(backend)
 }
 
 /// Runs the whole corpus, producing one line per (program, level, system).
-fn observe_corpus(backend: BackendKind) -> Vec<String> {
+fn observe_corpus() -> Vec<String> {
     let mut gen_tasks = Vec::new();
     for seed in 0..GEN_SEEDS {
         for level in [OptLevel::None, OptLevel::Full] {
@@ -69,7 +64,7 @@ fn observe_corpus(backend: BackendKind) -> Vec<String> {
             .compile(&src)
             .unwrap_or_else(|e| panic!("seed {seed} at {level}: {e}"));
         let r = p
-            .simulate(&[(seed % 11) as i64], &perfect(backend))
+            .simulate(&[(seed % 11) as i64], &perfect())
             .unwrap_or_else(|e| panic!("seed {seed} at {level}: {e}"));
         line(&format!("gen{seed:03}"), &level.to_string(), "perfect", &r)
     });
@@ -82,7 +77,7 @@ fn observe_corpus(backend: BackendKind) -> Vec<String> {
         })
         .collect();
     out.extend(cash::par::par_map(kernel_tasks, |(name, source, arg, level, system)| {
-        let cfg = if system == "cache" { hierarchy(backend) } else { perfect(backend) };
+        let cfg = if system == "cache" { hierarchy() } else { perfect() };
         let p = Compiler::new()
             .level(level)
             .compile(source)
@@ -103,7 +98,7 @@ fn observe_corpus(backend: BackendKind) -> Vec<String> {
         })
         .collect();
     out.extend(cash::par::par_map(crit_tasks, |(name, source, arg, level)| {
-        let cfg = perfect(backend).with_critpath(true);
+        let cfg = perfect().with_critpath(true);
         let p = Compiler::new()
             .level(level)
             .compile(source)
@@ -121,14 +116,10 @@ fn observe_corpus(backend: BackendKind) -> Vec<String> {
     out
 }
 
-fn check_against_golden(backend: BackendKind) {
-    let observed = observe_corpus(backend);
+#[test]
+fn simulator_results_match_pre_rewrite_goldens() {
+    let observed = observe_corpus();
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        if backend != BackendKind::Event {
-            // One writer: the golden is captured from the event backend;
-            // the compiled backend is held to it, never defines it.
-            return;
-        }
         let mut text = observed.join("\n");
         text.push('\n');
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(GOLDEN_PATH);
@@ -157,19 +148,7 @@ fn check_against_golden(backend: BackendKind) {
     assert_eq!(
         bad,
         0,
-        "{bad} of {} corpus runs diverged from the pre-rewrite simulator ({backend:?} backend)",
+        "{bad} of {} corpus runs diverged from the pre-rewrite simulator",
         golden.len()
     );
-}
-
-#[test]
-fn simulator_results_match_pre_rewrite_goldens() {
-    check_against_golden(BackendKind::Event);
-}
-
-/// The compiled backend is pinned to the very same golden outcomes as the
-/// event backend — not merely to "whatever the event backend says today".
-#[test]
-fn compiled_backend_matches_pre_rewrite_goldens() {
-    check_against_golden(BackendKind::Compiled);
 }
