@@ -9,8 +9,8 @@
 //! accesses (the dependence-distance analysis behind loop decoupling).
 
 use crate::affine::{affine_of, Affine, Term};
+use bdd::fx::FxHashMap;
 use pegasus::{Graph, NodeId, NodeKind, Src, VClass};
-use std::collections::HashMap;
 
 /// The token ring of a single-hyperblock loop.
 #[derive(Debug, Clone)]
@@ -141,13 +141,13 @@ pub fn find_activation(g: &Graph, hb: u32) -> Option<Src> {
 #[derive(Debug, Clone, Default)]
 pub struct IndVars {
     /// merge output -> step per iteration.
-    pub steps: HashMap<Src, i64>,
+    pub steps: FxHashMap<Src, i64>,
 }
 
 /// Finds induction variables (and loop-invariant circulating values,
 /// reported with step 0) of loop hyperblock `hb`.
 pub fn find_ivs(g: &Graph, hb: u32) -> IndVars {
-    let mut steps = HashMap::new();
+    let mut steps = FxHashMap::default();
     'merges: for id in g.live_ids() {
         if g.hb(id) != hb {
             continue;
@@ -199,14 +199,14 @@ pub fn find_ivs(g: &Graph, hb: u32) -> IndVars {
 #[derive(Debug, Clone)]
 pub struct IvSubst {
     ivs: IndVars,
-    entries: HashMap<Src, Affine>,
+    entries: FxHashMap<Src, Affine>,
 }
 
 impl IvSubst {
     /// Builds the substitution context for loop hyperblock `hb`.
     pub fn new(g: &Graph, hb: u32) -> Self {
         let ivs = find_ivs(g, hb);
-        let mut entries = HashMap::new();
+        let mut entries = FxHashMap::default();
         for &m in ivs.steps.keys() {
             // Exactly one non-back input -> that is the entry value.
             let node = m.node;

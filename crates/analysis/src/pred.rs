@@ -8,18 +8,18 @@
 //! predicate source (comparisons, merges, muxes, parameters) as an opaque
 //! decision variable.
 
+use bdd::fx::FxHashMap;
 use bdd::{Bdd, BddManager};
 use cfgir::types::{BinOp, Type, UnOp};
 use pegasus::{Graph, NodeKind, Src};
-use std::collections::HashMap;
 
 /// A memoized predicate-to-BDD translator for one graph.
 #[derive(Debug, Default)]
 pub struct PredicateMap {
     /// The BDD manager owning all predicate functions.
     pub mgr: BddManager,
-    memo: HashMap<Src, Bdd>,
-    vars: HashMap<Src, bdd::Var>,
+    memo: FxHashMap<Src, Bdd>,
+    vars: FxHashMap<Src, bdd::Var>,
     next_var: bdd::Var,
 }
 
@@ -28,8 +28,8 @@ impl PredicateMap {
     pub fn new() -> Self {
         PredicateMap {
             mgr: BddManager::new(),
-            memo: HashMap::new(),
-            vars: HashMap::new(),
+            memo: FxHashMap::default(),
+            vars: FxHashMap::default(),
             next_var: 0,
         }
     }

@@ -35,8 +35,11 @@
 //! assert_eq!(nn, dm);
 //! ```
 
-use std::collections::HashMap;
 use std::fmt;
+
+pub mod fx;
+
+use fx::{FxHashMap, FxHashSet};
 
 /// A handle to a BDD node owned by a [`BddManager`].
 ///
@@ -111,9 +114,9 @@ enum Op {
 #[derive(Debug, Default)]
 pub struct BddManager {
     nodes: Vec<Node>,
-    unique: HashMap<Node, Bdd>,
-    apply_cache: HashMap<(Op, Bdd, Bdd), Bdd>,
-    not_cache: HashMap<Bdd, Bdd>,
+    unique: FxHashMap<Node, Bdd>,
+    apply_cache: FxHashMap<(Op, Bdd, Bdd), Bdd>,
+    not_cache: FxHashMap<Bdd, Bdd>,
 }
 
 impl BddManager {
@@ -121,9 +124,9 @@ impl BddManager {
     pub fn new() -> Self {
         let mut m = BddManager {
             nodes: Vec::new(),
-            unique: HashMap::new(),
-            apply_cache: HashMap::new(),
-            not_cache: HashMap::new(),
+            unique: FxHashMap::default(),
+            apply_cache: FxHashMap::default(),
+            not_cache: FxHashMap::default(),
         };
         // Slots 0 and 1 are the constants; give them sentinel nodes so that
         // node(ix) is always valid.
@@ -360,7 +363,7 @@ impl BddManager {
     pub fn support(&self, b: Bdd) -> Vec<Var> {
         let mut seen = std::collections::BTreeSet::new();
         let mut stack = vec![b];
-        let mut visited = std::collections::HashSet::new();
+        let mut visited = FxHashSet::default();
         while let Some(x) = stack.pop() {
             if x.is_const() || !visited.insert(x) {
                 continue;

@@ -3,9 +3,9 @@
 
 use crate::preds::PredBdds;
 use crate::{LintConfig, LintDiag, Rule};
+use bdd::fx::FxHashMap;
 use bdd::Bdd;
 use pegasus::{Graph, NodeId, NodeKind, Src, VClass};
-use std::collections::HashMap;
 
 pub(crate) fn check(g: &Graph, cfg: &LintConfig, diags: &mut Vec<LintDiag>) {
     let mut plain = PredBdds::new(false);
@@ -54,7 +54,7 @@ fn exit_partition(g: &Graph, diags: &mut Vec<LintDiag>) {
     // Activations fold to TRUE here: "this wave is in this block" is the
     // baseline the exits must cover.
     let mut pm = PredBdds::new(true);
-    let mut per_hb: HashMap<u32, Vec<(NodeId, Src)>> = HashMap::new();
+    let mut per_hb: FxHashMap<u32, Vec<(NodeId, Src)>> = FxHashMap::default();
     for id in g.live_ids() {
         let steer = match g.kind(id) {
             NodeKind::Eta { vc: VClass::Token, .. } => g.input(id, 1),

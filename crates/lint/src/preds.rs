@@ -10,16 +10,16 @@
 //! value once per wave — which is exactly what distinguishes a gated ring
 //! entry from a raw per-wave producer.
 
+use bdd::fx::{FxHashMap, FxHashSet};
 use bdd::{Bdd, BddManager};
 use cfgir::types::{BinOp, Type, UnOp};
 use pegasus::{Graph, NodeKind, Src};
-use std::collections::{HashMap, HashSet};
 
 pub(crate) struct PredBdds {
     pub mgr: BddManager,
     fold_carriers: bool,
-    memo: HashMap<Src, Bdd>,
-    vars: HashMap<Src, bdd::Var>,
+    memo: FxHashMap<Src, Bdd>,
+    vars: FxHashMap<Src, bdd::Var>,
     next_var: bdd::Var,
 }
 
@@ -28,8 +28,8 @@ impl PredBdds {
         PredBdds {
             mgr: BddManager::new(),
             fold_carriers,
-            memo: HashMap::new(),
-            vars: HashMap::new(),
+            memo: FxHashMap::default(),
+            vars: FxHashMap::default(),
             next_var: 0,
         }
     }
@@ -50,7 +50,7 @@ impl PredBdds {
         }
         let b = if src.port != 0 {
             self.leaf(src)
-        } else if self.fold_carriers && carries_true(g, src, &mut HashSet::new()) {
+        } else if self.fold_carriers && carries_true(g, src, &mut FxHashSet::default()) {
             Bdd::TRUE
         } else {
             match g.kind(src.node) {
@@ -98,7 +98,7 @@ impl PredBdds {
 /// Does every value ever delivered at `src` carry boolean true? True for
 /// const-true, for an eta steering such a value, and for a merge all of
 /// whose inputs do (the shape of an activation ring).
-fn carries_true(g: &Graph, src: Src, visiting: &mut HashSet<pegasus::NodeId>) -> bool {
+fn carries_true(g: &Graph, src: Src, visiting: &mut FxHashSet<pegasus::NodeId>) -> bool {
     if src.port != 0 || !visiting.insert(src.node) {
         return false;
     }

@@ -22,9 +22,9 @@
 
 use crate::preds::PredBdds;
 use crate::{LintDiag, Rule};
+use bdd::fx::FxHashMap;
 use bdd::Bdd;
 use pegasus::{topo_order, Graph, NodeId, NodeKind, Src};
-use std::collections::HashMap;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Rate {
@@ -41,7 +41,7 @@ pub(crate) fn check(g: &Graph, diags: &mut Vec<LintDiag>) {
     // Filters must keep activations opaque: an eta gated on an activation
     // still delivers once per wave, unlike a per-execution entry steer.
     let mut pm = PredBdds::new(false);
-    let mut rates: HashMap<Src, Rate> = HashMap::new();
+    let mut rates: FxHashMap<Src, Rate> = FxHashMap::default();
     for id in topo_order(g) {
         match g.kind(id) {
             NodeKind::Removed => {}
@@ -135,7 +135,7 @@ pub(crate) fn check(g: &Graph, diags: &mut Vec<LintDiag>) {
 /// ring) — the join takes the *fastest* input stream. Only the handshake
 /// elements — merge rings — can deadlock on rate imbalance, and those are
 /// diagnosed at the merge-slot scan, not here.
-fn unify_inputs(g: &Graph, id: NodeId, rates: &HashMap<Src, Rate>) -> Rate {
+fn unify_inputs(g: &Graph, id: NodeId, rates: &FxHashMap<Src, Rate>) -> Rate {
     let mut acc = Rate::Any;
     for p in 0..g.num_inputs(id) {
         let Some(i) = g.input(id, p as u16) else { continue };

@@ -6,10 +6,10 @@ use crate::{LintConfig, LintDiag, Rule};
 use analysis::affine::affine_of;
 use analysis::loopinfo::IvSubst;
 use analysis::may_overlap;
+use bdd::fx::{FxHashMap, FxHashSet};
 use bdd::Bdd;
 use cfgir::AliasOracle;
 use pegasus::{direct_token_deps, token_path, Graph, NodeId, NodeKind, Src, VClass};
-use std::collections::{HashMap, HashSet};
 
 pub(crate) fn check(
     g: &Graph,
@@ -32,7 +32,7 @@ fn mem_ops(g: &Graph) -> Vec<NodeId> {
     g.live_ids().filter(|&id| g.kind(id).is_memory()).collect()
 }
 
-fn sup(supplied: &HashSet<Src>, g: &Graph, id: NodeId, port: u16) -> bool {
+fn sup(supplied: &FxHashSet<Src>, g: &Graph, id: NodeId, port: u16) -> bool {
     g.input(id, port).is_some_and(|i| supplied.contains(&i.src))
 }
 
@@ -44,7 +44,7 @@ fn sup(supplied: &HashSet<Src>, g: &Graph, id: NodeId, port: u16) -> bool {
 /// is its own back edge stays unsupplied: the least fixpoint never admits
 /// a cycle with no externally supplied entry.
 fn reachability(g: &Graph, diags: &mut Vec<LintDiag>) {
-    let mut supplied: HashSet<Src> = HashSet::new();
+    let mut supplied: FxHashSet<Src> = FxHashSet::default();
     let mut changed = true;
     while changed {
         changed = false;
@@ -135,15 +135,15 @@ fn races(g: &Graph, oracle: &AliasOracle<'_>, diags: &mut Vec<LintDiag>) {
     if mems.len() < 2 {
         return;
     }
-    let mut iv_ctx: HashMap<u32, IvSubst> = HashMap::new();
+    let mut iv_ctx: FxHashMap<u32, IvSubst> = FxHashMap::default();
     for hb in 0..g.num_hbs {
         if g.hb_is_loop.get(hb as usize).copied().unwrap_or(false) {
             iv_ctx.insert(hb, IvSubst::new(g, hb));
         }
     }
     let mut pm = PredBdds::new(false);
-    let mut ctx_memo: HashMap<Src, Bdd> = HashMap::new();
-    let preds: HashMap<NodeId, Bdd> = mems
+    let mut ctx_memo: FxHashMap<Src, Bdd> = FxHashMap::default();
+    let preds: FxHashMap<NodeId, Bdd> = mems
         .iter()
         .map(|&m| {
             let (pred_port, tok_port) =
@@ -156,7 +156,7 @@ fn races(g: &Graph, oracle: &AliasOracle<'_>, diags: &mut Vec<LintDiag>) {
             (m, pm.mgr.and(c, p))
         })
         .collect();
-    let reach: HashMap<NodeId, HashSet<NodeId>> =
+    let reach: FxHashMap<NodeId, FxHashSet<NodeId>> =
         mems.iter().map(|&m| (m, token_successors(g, m))).collect();
     for (i, &a) in mems.iter().enumerate() {
         for &b in &mems[i + 1..] {
@@ -191,7 +191,7 @@ fn races(g: &Graph, oracle: &AliasOracle<'_>, diags: &mut Vec<LintDiag>) {
 /// ordering is the ring's responsibility, as in the optimizer's
 /// disambiguation). Back edges are skipped and anything not understood is
 /// conservatively `TRUE` (i.e. "may fire").
-fn token_ctx(g: &Graph, pm: &mut PredBdds, memo: &mut HashMap<Src, Bdd>, src: Src) -> Bdd {
+fn token_ctx(g: &Graph, pm: &mut PredBdds, memo: &mut FxHashMap<Src, Bdd>, src: Src) -> Bdd {
     if let Some(&b) = memo.get(&src) {
         return b;
     }
@@ -199,7 +199,7 @@ fn token_ctx(g: &Graph, pm: &mut PredBdds, memo: &mut HashMap<Src, Bdd>, src: Sr
     // own computation reads as TRUE (conservative).
     memo.insert(src, Bdd::TRUE);
     let id = src.node;
-    let fwd = |g: &Graph, pm: &mut PredBdds, memo: &mut HashMap<Src, Bdd>, port: u16| match g
+    let fwd = |g: &Graph, pm: &mut PredBdds, memo: &mut FxHashMap<Src, Bdd>, port: u16| match g
         .input(id, port)
     {
         Some(i) if !i.back => token_ctx(g, pm, memo, i.src),
@@ -254,7 +254,7 @@ fn size_of(g: &Graph, op: NodeId) -> u64 {
 fn provably_disjoint(
     g: &Graph,
     oracle: &AliasOracle<'_>,
-    iv_ctx: &HashMap<u32, IvSubst>,
+    iv_ctx: &FxHashMap<u32, IvSubst>,
     a: NodeId,
     b: NodeId,
 ) -> bool {
@@ -285,13 +285,13 @@ fn provably_disjoint(
 /// A path through a token generator does NOT order — it emits ahead of its
 /// credit input, which is the whole point of decoupling (§6.3). Back edges
 /// are skipped, matching the reduction's per-wave view.
-fn token_successors(g: &Graph, from: NodeId) -> HashSet<NodeId> {
+fn token_successors(g: &Graph, from: NodeId) -> FxHashSet<NodeId> {
     let start = match g.kind(from) {
         NodeKind::Load { .. } => Src::token_of_load(from),
         _ => Src::of(from),
     };
-    let mut seen: HashSet<Src> = HashSet::new();
-    let mut out: HashSet<NodeId> = HashSet::new();
+    let mut seen: FxHashSet<Src> = FxHashSet::default();
+    let mut out: FxHashSet<NodeId> = FxHashSet::default();
     let mut work = vec![start];
     while let Some(s) = work.pop() {
         if !seen.insert(s) {

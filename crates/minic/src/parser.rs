@@ -36,6 +36,16 @@ impl From<LexError> for ParseError {
 /// 2 MB thread stack (the default for spawned threads).
 const MAX_NESTING: u32 = 128;
 
+/// Most chained operators one expression may contain: binary operators
+/// and postfix `[]`/`++`/`--`, counting those inside its parentheses,
+/// call arguments and indexes. Such operators build their tree without
+/// nesting the parser (`n + n + … + n` and `a[0][0]…` are left-deep), so
+/// [`MAX_NESTING`] does not bound them, yet the recursive passes after
+/// parsing need stack proportional to the tree's depth. With both limits
+/// at their maximum the deepest accepted expression still compiles in an
+/// unoptimized build on a 2 MB thread stack.
+const MAX_CHAINED: u32 = 128;
+
 /// Parses a MiniC translation unit.
 ///
 /// # Errors
@@ -44,7 +54,7 @@ const MAX_NESTING: u32 = 128;
 /// statements or expressions nested too deeply to parse safely.
 pub fn parse(src: &str) -> Result<Program, ParseError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0, depth: 0 };
+    let mut p = Parser { toks, pos: 0, depth: 0, chained: None };
     p.program()
 }
 
@@ -53,6 +63,9 @@ struct Parser {
     pos: usize,
     /// Current nesting depth (see [`MAX_NESTING`]).
     depth: u32,
+    /// Chained operators in the expression being parsed (see
+    /// [`MAX_CHAINED`]); `None` between expressions.
+    chained: Option<u32>,
 }
 
 impl Parser {
@@ -109,6 +122,17 @@ impl Parser {
         let r = parse(self);
         self.depth -= 1;
         r
+    }
+
+    /// Counts one chained operator of the current expression, failing past
+    /// [`MAX_CHAINED`].
+    fn chain(&mut self) -> Result<(), ParseError> {
+        let n = self.chained.get_or_insert(0);
+        *n += 1;
+        if *n > MAX_CHAINED {
+            return Err(self.err(format!("more than {MAX_CHAINED} operators in one expression")));
+        }
+        Ok(())
     }
 
     fn ident(&mut self) -> Result<String, ParseError> {
@@ -453,7 +477,13 @@ impl Parser {
     // ---- expressions (precedence climbing) ----
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.nested(Self::assignment)
+        if self.chained.is_some() {
+            return self.nested(Self::assignment);
+        }
+        self.chained = Some(0);
+        let r = self.nested(Self::assignment);
+        self.chained = None;
+        r
     }
 
     fn assignment(&mut self) -> Result<Expr, ParseError> {
@@ -526,6 +556,7 @@ impl Parser {
                 break;
             }
             let line = self.line();
+            self.chain()?;
             self.bump();
             let rhs = self.binary(prec + 1)?;
             lhs = Expr { kind: ExprKind::Bin(op, Box::new(lhs), Box::new(rhs)), line };
@@ -579,6 +610,9 @@ impl Parser {
         let mut e = self.primary()?;
         loop {
             let line = self.line();
+            if matches!(self.peek(), Tok::LBracket | Tok::PlusPlus | Tok::MinusMinus) {
+                self.chain()?;
+            }
             match self.peek() {
                 Tok::LBracket => {
                     self.bump();

@@ -91,3 +91,39 @@ fn deep_nesting_is_a_diagnostic_not_a_crash() {
         compile_to_module(&src).unwrap_or_else(|e| panic!("{e}"));
     }
 }
+
+/// A long flat operator chain builds a left-deep tree without nesting the
+/// parser; past the chain limit it ends in a line-numbered diagnostic, not
+/// a stack overflow in the recursive passes after parsing. The longest
+/// accepted chain, and one at the nesting limit's deepest operand, still
+/// compile.
+#[test]
+fn long_operator_chains_are_a_diagnostic_not_a_crash() {
+    let sum =
+        |terms: usize| format!("int main(int n) {{\n  return {}n;\n}}", "n + ".repeat(terms - 1));
+    for terms in [600, 10_000] {
+        let msg = diagnostic(&sum(terms));
+        assert_eq!(msg, "parse error: line 2: more than 128 operators in one expression");
+    }
+    let index = format!("int a[4];\nint main(int n) {{\n  return a{};\n}}", "[0]".repeat(10_000));
+    assert_eq!(
+        diagnostic(&index),
+        "parse error: line 3: more than 128 operators in one expression"
+    );
+    // Parentheses do not reset the count: 40 groups of 4 operators nest
+    // well inside the nesting limit but chain 160 operators.
+    let mut grouped = "n".to_string();
+    for _ in 0..40 {
+        grouped = format!("({grouped} + n + n + n + n)");
+    }
+    let grouped = format!("int main(int n) {{\n  return {grouped};\n}}");
+    assert_eq!(
+        diagnostic(&grouped),
+        "parse error: line 2: more than 128 operators in one expression"
+    );
+    let deepest =
+        format!("int main(int n) {{\n  return {}n{};\n}}", "- ".repeat(120), " + n".repeat(128));
+    for src in [sum(129), deepest] {
+        compile_to_module(&src).unwrap_or_else(|e| panic!("{e}"));
+    }
+}

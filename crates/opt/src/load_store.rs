@@ -10,6 +10,7 @@
 use crate::util::{addr_of, bypass_token, mem_ops, pred_of, pred_port, size_of};
 use analysis::affine::{affine_of, always_equal};
 use analysis::PredicateMap;
+use bdd::fx::FxHashSet;
 use pegasus::{direct_token_deps, Graph, NodeKind, Src};
 
 use crate::store_store::reaches_forward;
@@ -26,7 +27,7 @@ pub struct LoadStoreStats {
 /// Applies load-after-store forwarding everywhere it fires.
 pub fn load_after_store(g: &mut Graph, pm: &mut PredicateMap) -> LoadStoreStats {
     let mut stats = LoadStoreStats::default();
-    let mut done: std::collections::HashSet<pegasus::NodeId> = std::collections::HashSet::new();
+    let mut done: FxHashSet<pegasus::NodeId> = FxHashSet::default();
     loop {
         let mut changed = false;
         'outer: for l in mem_ops(g) {

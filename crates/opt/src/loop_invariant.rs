@@ -9,9 +9,9 @@
 
 use crate::util::{addr_of, bypass_token, mem_ops_in_hb, pred_of};
 use analysis::loopinfo::{find_ivs, find_token_ring, IndVars, TokenRing};
+use bdd::fx::FxHashMap;
 use cfgir::AliasOracle;
 use pegasus::{direct_token_deps, Graph, NodeId, NodeKind, Src, VClass};
-use std::collections::HashMap;
 
 /// Hoists loop-invariant loads. Returns how many loads were lifted.
 pub fn hoist_invariant_loads(g: &mut Graph, oracle: &AliasOracle<'_>) -> usize {
@@ -71,7 +71,7 @@ fn find_candidate(
             continue;
         }
         // Address must be expressible before the loop.
-        if entry_value(g, addr_of(g, op), hb, ivs, &mut HashMap::new(), false).is_none() {
+        if entry_value(g, addr_of(g, op), hb, ivs, &mut FxHashMap::default(), false).is_none() {
             continue;
         }
         return Some(op);
@@ -86,7 +86,7 @@ fn entry_value(
     src: Src,
     hb: u32,
     ivs: &IndVars,
-    memo: &mut HashMap<Src, Src>,
+    memo: &mut FxHashMap<Src, Src>,
     build: bool,
 ) -> Option<Src> {
     if let Some(&s) = memo.get(&src) {
@@ -168,7 +168,8 @@ fn hoist_one(g: &mut Graph, hb: u32, ring: &TokenRing, ivs: &IndVars, load: Node
     let (entry_port, entry_src) = ring.entries[0];
     let out_hb = g.hb(entry_src.node);
     // Materialize the entry-time address.
-    let Some(addr) = entry_value(g, addr_of(g, load), hb, ivs, &mut HashMap::new(), true) else {
+    let Some(addr) = entry_value(g, addr_of(g, load), hb, ivs, &mut FxHashMap::default(), true)
+    else {
         return false;
     };
     // The hoisted load, spliced onto the loop's entry token.

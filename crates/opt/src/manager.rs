@@ -346,6 +346,10 @@ fn reduction(before: usize, after: usize) -> f64 {
 /// suppressed so the differential harness gets to observe the fault).
 struct Ctl<'a, 'm> {
     passes: Vec<PassStat>,
+    /// The graph's current shape: measured once up front, then after
+    /// each invocation. Nothing touches the graph between invocations, so
+    /// it is also the next invocation's before-shape.
+    shape: Shape,
     remaining: Option<usize>,
     sabotage: Option<&'static str>,
     sabotaged: bool,
@@ -353,6 +357,33 @@ struct Ctl<'a, 'm> {
     // Only the debug_assertions per-pass lint reads this flag.
     #[cfg_attr(not(debug_assertions), allow(dead_code))]
     lint: bool,
+}
+
+/// What [`PassStat`] records of a graph: live nodes, connected edges and
+/// token edges.
+#[derive(Clone, Copy)]
+struct Shape {
+    nodes: usize,
+    edges: usize,
+    token_edges: usize,
+}
+
+impl Shape {
+    /// Measures `g` in one scan (the same counts as [`Graph::live_count`],
+    /// [`Graph::count_edges`] and [`Graph::count_token_edges`]).
+    fn of(g: &Graph) -> Shape {
+        let mut s = Shape { nodes: 0, edges: 0, token_edges: 0 };
+        for id in g.live_ids() {
+            s.nodes += 1;
+            for i in g.node(id).inputs.iter().flatten() {
+                s.edges += 1;
+                if g.kind(i.src.node).output_class(i.src.port) == pegasus::VClass::Token {
+                    s.token_edges += 1;
+                }
+            }
+        }
+        s
+    }
 }
 
 /// The lint configuration for mid-pipeline graphs: no redundancy check
@@ -390,10 +421,12 @@ fn span_name(pass: &'static str) -> &'static str {
     }
 }
 
-/// Times one pass invocation and records its graph-shape delta. When the
-/// invocation budget is exhausted the pass is skipped entirely (no stat is
-/// recorded), so a prefix-limited run performs exactly the first
-/// `pass_limit` invocations of the full pipeline and nothing else.
+/// Times one pass invocation and records its graph-shape delta. The graph
+/// is scanned once per invocation, after it (and any armed sabotage
+/// rewrite) runs; the before-shape is the previous scan ([`Ctl::shape`]).
+/// When the invocation budget is exhausted the pass is skipped entirely
+/// (no stat is recorded), so a prefix-limited run performs exactly the
+/// first `pass_limit` invocations of the full pipeline and nothing else.
 ///
 /// The invocation runs under an `obs` span (always timed — the span clock
 /// is the source of `PassStat::wall_micros`), feeds the shared metrics
@@ -415,9 +448,7 @@ fn timed(
         Some(ref mut n) => *n -= 1,
         None => {}
     }
-    let nodes = g.live_count();
-    let edges = g.count_edges();
-    let token_edges = g.count_token_edges();
+    let before = ctl.shape;
     let sp = obs::span::enter(span_name(name));
     let rewrites = f(g);
     let wall_micros = sp.end_us();
@@ -429,14 +460,16 @@ fn timed(
         ctl.sabotaged = true;
         sabotage_rewrite(g, name, ctl.oracle);
     }
+    let after = Shape::of(g);
+    ctl.shape = after;
     ctl.passes.push(PassStat {
         name,
         round,
         wall_micros,
         rewrites,
-        nodes: (nodes, g.live_count()),
-        edges: (edges, g.count_edges()),
-        token_edges: (token_edges, g.count_token_edges()),
+        nodes: (before.nodes, after.nodes),
+        edges: (before.edges, after.edges),
+        token_edges: (before.token_edges, after.token_edges),
     });
     #[cfg(debug_assertions)]
     if ctl.lint && !ctl.sabotaged {
@@ -544,6 +577,7 @@ pub fn optimize(g: &mut Graph, oracle: &AliasOracle<'_>, cfg: &OptConfig) -> Opt
     let mut report = OptReport { static_before: g.count_memory_ops(), ..OptReport::default() };
     let mut ctl = Ctl {
         passes: Vec::new(),
+        shape: Shape::of(g),
         remaining: cfg.pass_limit,
         sabotage: cfg.sabotage,
         sabotaged: false,
@@ -905,5 +939,86 @@ mod tests {
         let oracle = AliasOracle::new(&module);
         let report = optimize(&mut g, &oracle, &OptLevel::None.config());
         assert_eq!(report.static_after, (1, 1));
+    }
+
+    /// `(live nodes, edges, token edges)`, measured by the graph itself.
+    fn shape(g: &Graph) -> (usize, usize, usize) {
+        (g.live_count(), g.count_edges(), g.count_token_edges())
+    }
+
+    fn before(p: &PassStat) -> (usize, usize, usize) {
+        (p.nodes.0, p.edges.0, p.token_edges.0)
+    }
+
+    fn after(p: &PassStat) -> (usize, usize, usize) {
+        (p.nodes.1, p.edges.1, p.token_edges.1)
+    }
+
+    /// Nothing touches the graph between invocations, so each recorded
+    /// after-shape is the next invocation's before-shape.
+    fn assert_shapes_chain(passes: &[PassStat]) {
+        for (i, w) in passes.windows(2).enumerate() {
+            assert_eq!(
+                after(&w[0]),
+                before(&w[1]),
+                "invocations {i} ({}) -> {}",
+                w[0].name,
+                w[1].name
+            );
+        }
+    }
+
+    /// The pass manager measures the graph once per invocation and reuses
+    /// the measurement; the recorded shapes must still be the graph's.
+    #[test]
+    fn recorded_shapes_chain_and_match_the_graph() {
+        let src = "
+            int a[8]; int b[9];
+            int main(int n) {
+                for (int i = 0; i < n; i++) { b[i+1] = i; a[i] = b[i] + a[i]; }
+                return a[2] + b[3];
+            }";
+        for level in OptLevel::ALL {
+            let cfgc = level.config();
+            let (module, g0) = if cfgc.rw_sets_at_build { compile_rw(src) } else { compile(src) };
+            let oracle = AliasOracle::new(&module);
+            let mut g = g0.clone();
+            let full = optimize(&mut g, &oracle, &cfgc);
+            assert_eq!(before(&full.passes[0]), shape(&g0), "{level}: first before-shape");
+            assert_eq!(after(full.passes.last().unwrap()), shape(&g), "{level}: last after-shape");
+            assert_shapes_chain(&full.passes);
+            // Stopping after invocation n leaves exactly its after-shape.
+            for n in 1..=full.passes.len() {
+                let mut g = g0.clone();
+                let report = optimize(&mut g, &oracle, &cfgc.prefix(n));
+                assert_eq!(after(&report.passes[n - 1]), shape(&g), "{level}: prefix {n}");
+            }
+        }
+    }
+
+    /// A sabotage rewrite runs inside its pass's invocation, before the
+    /// after-shape is taken: the recorded shape is that of the sabotaged
+    /// graph, and the next invocation starts from it.
+    #[test]
+    fn sabotaged_after_shape_includes_the_sabotage_rewrite() {
+        let src = "
+            int a[8];
+            void main(int i, int j) { a[i] = 1; a[j] = a[i] + 2; }";
+        let (module, g0) = compile(src);
+        let oracle = AliasOracle::new(&module);
+        let cfgc = OptLevel::Full.config().sabotage("token_removal");
+        let mut bad = g0.clone();
+        let full = optimize(&mut bad, &oracle, &cfgc);
+        assert_shapes_chain(&full.passes);
+        let k = full.passes.iter().position(|p| p.name == "token_removal").unwrap();
+        let (mut clean, mut sabotaged) = (g0.clone(), g0.clone());
+        optimize(&mut clean, &oracle, &OptLevel::Full.config().prefix(k + 1));
+        let report = optimize(&mut sabotaged, &oracle, &cfgc.prefix(k + 1));
+        assert!(
+            clean.ids().any(|id| clean.uses(id) != sabotaged.uses(id)),
+            "the sabotage must have rewired the graph"
+        );
+        assert_eq!(after(&report.passes[k]), shape(&sabotaged));
+        assert_eq!(after(&full.passes[k]), shape(&sabotaged));
     }
 }

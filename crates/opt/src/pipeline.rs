@@ -26,8 +26,8 @@ use analysis::affine::{affine_of, Affine};
 use analysis::loopinfo::{
     find_activation, find_ivs, find_token_ring, iteration_conflict, Conflict,
 };
+use bdd::fx::FxHashMap;
 use pegasus::{direct_token_deps, set_token_input, Graph, NodeId, NodeKind, Src, VClass};
-use std::collections::HashMap;
 
 /// Which of the §6 transformations are enabled.
 #[derive(Debug, Clone, Copy)]
@@ -122,7 +122,7 @@ fn pipeline_one(g: &mut Graph, hb: u32, cfg: PipelineConfig) -> Option<PipelineS
     }
     // The ring must be self-contained: every op's token deps are either the
     // ring merge or other ops of this hyperblock.
-    let mut deps_of: HashMap<NodeId, Vec<Src>> = HashMap::new();
+    let mut deps_of: FxHashMap<NodeId, Vec<Src>> = FxHashMap::default();
     for &op in &ops {
         let deps = direct_token_deps(g, op);
         for d in &deps {
@@ -136,7 +136,7 @@ fn pipeline_one(g: &mut Graph, hb: u32, cfg: PipelineConfig) -> Option<PipelineS
 
     // Components over direct op-to-op edges.
     let n = ops.len();
-    let idx: HashMap<NodeId, usize> = ops.iter().enumerate().map(|(i, &o)| (o, i)).collect();
+    let idx: FxHashMap<NodeId, usize> = ops.iter().enumerate().map(|(i, &o)| (o, i)).collect();
     let mut uf = Uf::new(n);
     for (i, &op) in ops.iter().enumerate() {
         for d in &deps_of[&op] {
@@ -207,7 +207,7 @@ fn pipeline_one(g: &mut Graph, hb: u32, cfg: PipelineConfig) -> Option<PipelineS
     let mut comp_of = vec![0usize; n];
     let mut comps: Vec<Vec<usize>> = Vec::new();
     {
-        let mut map: HashMap<usize, usize> = HashMap::new();
+        let mut map: FxHashMap<usize, usize> = FxHashMap::default();
         for (i, slot) in comp_of.iter_mut().enumerate() {
             let r = uf.find(i);
             let c = *map.entry(r).or_insert_with(|| {
@@ -226,7 +226,7 @@ fn pipeline_one(g: &mut Graph, hb: u32, cfg: PipelineConfig) -> Option<PipelineS
         }
     }
     // Intra-component distance conflicts also force serialization.
-    let mut cross: HashMap<(usize, usize), i64> = HashMap::new();
+    let mut cross: FxHashMap<(usize, usize), i64> = FxHashMap::default();
     for &(i, j, d) in &dist_edges {
         let (ci, cj) = (comp_of[i], comp_of[j]);
         if ci == cj {
@@ -266,7 +266,7 @@ fn pipeline_one(g: &mut Graph, hb: u32, cfg: PipelineConfig) -> Option<PipelineS
     let mut comp_ids: Vec<usize> = comp_of.clone();
     comp_ids.sort_unstable();
     comp_ids.dedup();
-    let comp_index: HashMap<usize, usize> =
+    let comp_index: FxHashMap<usize, usize> =
         comp_ids.iter().enumerate().map(|(k, &c)| (c, k)).collect();
     let ncf = comp_ids.len();
     let mut members: Vec<Vec<usize>> = vec![Vec::new(); ncf];
@@ -427,7 +427,7 @@ fn combine(g: &mut Graph, srcs: Vec<Src>, hb: u32) -> Src {
 }
 
 /// Finds one edge participating in a cycle of the component DAG, if any.
-fn find_cycle_pair(nc: usize, edges: &HashMap<(usize, usize), i64>) -> Option<(usize, usize)> {
+fn find_cycle_pair(nc: usize, edges: &FxHashMap<(usize, usize), i64>) -> Option<(usize, usize)> {
     // Tiny graphs: DFS from each node.
     for (&(s, t), _) in edges.iter() {
         // Is there a path t -> s?

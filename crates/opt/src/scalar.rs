@@ -6,6 +6,7 @@
 //! They also feed the memory passes: folded predicates expose dead stores,
 //! shared address subexpressions make `same address` checks syntactic.
 
+use bdd::fx::FxHashMap;
 use cfgir::types::{BinOp, Type, UnOp};
 use pegasus::{Graph, NodeId, NodeKind, Src};
 use std::collections::HashMap;
@@ -37,37 +38,31 @@ fn const_value(g: &Graph, src: Src) -> Option<i64> {
 /// Folds pure operations over constants into constants.
 fn fold_constants(g: &mut Graph) -> usize {
     let mut n = 0;
-    for id in g.ids().collect::<Vec<_>>() {
-        let folded = match g.kind(id).clone() {
-            NodeKind::BinOp { op, ty } => {
-                let a = g.input(id, 0).and_then(|i| const_value(g, i.src));
-                let b = g.input(id, 1).and_then(|i| const_value(g, i.src));
-                match (a, b) {
-                    // A comparison node carries its *operand* type (for
-                    // signedness) but its output is a predicate; the folded
-                    // constant must be Bool or its class flips Pred -> Data.
-                    (Some(a), Some(b)) => {
-                        let out_ty = if op.is_comparison() { Type::Bool } else { ty.clone() };
-                        Some((op.eval(&ty, a, b), out_ty))
-                    }
-                    _ => None,
+    for id in g.ids() {
+        if !g.has_uses(id, 0) {
+            continue;
+        }
+        let operand = |port| g.input(id, port).and_then(|i| const_value(g, i.src));
+        let folded = match g.kind(id) {
+            NodeKind::BinOp { op, ty } => match (operand(0), operand(1)) {
+                // A comparison node carries its *operand* type (for
+                // signedness) but its output is a predicate; the folded
+                // constant must be Bool or its class flips Pred -> Data.
+                (Some(a), Some(b)) => {
+                    let out_ty = if op.is_comparison() { Type::Bool } else { ty.clone() };
+                    Some((op.eval(ty, a, b), out_ty))
                 }
-            }
-            NodeKind::UnOp { op, ty } => {
-                g.input(id, 0).and_then(|i| const_value(g, i.src)).map(|a| (op.eval(&ty, a), ty))
-            }
-            NodeKind::Cast { ty } => {
-                g.input(id, 0).and_then(|i| const_value(g, i.src)).map(|a| (ty.normalize(a), ty))
-            }
+                _ => None,
+            },
+            NodeKind::UnOp { op, ty } => operand(0).map(|a| (op.eval(ty, a), ty.clone())),
+            NodeKind::Cast { ty } => operand(0).map(|a| (ty.normalize(a), ty.clone())),
             _ => None,
         };
         if let Some((v, ty)) = folded {
-            if g.has_uses(id, 0) {
-                let hb = g.hb(id);
-                let c = g.add_node(NodeKind::Const { value: v, ty }, 0, hb);
-                g.replace_all_uses(Src::of(id), Src::of(c));
-                n += 1;
-            }
+            let hb = g.hb(id);
+            let c = g.add_node(NodeKind::Const { value: v, ty }, 0, hb);
+            g.replace_all_uses(Src::of(id), Src::of(c));
+            n += 1;
         }
     }
     n
@@ -78,12 +73,13 @@ fn fold_constants(g: &mut Graph) -> usize {
 /// have no back edge.
 fn algebraic(g: &mut Graph) -> usize {
     let mut n = 0;
-    for id in g.ids().collect::<Vec<_>>() {
+    for id in g.ids() {
         if !g.has_uses(id, 0) {
             continue;
         }
-        let replacement: Option<Src> = match g.kind(id).clone() {
+        let replacement: Option<Src> = match g.kind(id) {
             NodeKind::BinOp { op, ty } => {
+                let (op, pred) = (*op, *ty == Type::Bool);
                 let ia = g.input(id, 0).map(|i| i.src);
                 let ib = g.input(id, 1).map(|i| i.src);
                 let (Some(a), Some(b)) = (ia, ib) else { continue };
@@ -91,23 +87,23 @@ fn algebraic(g: &mut Graph) -> usize {
                 let cb = const_value(g, b);
                 match op {
                     BinOp::Add | BinOp::Or | BinOp::Xor | BinOp::Shl | BinOp::Shr
-                        if cb == Some(0) && ty != Type::Bool =>
+                        if cb == Some(0) && !pred =>
                     {
                         Some(a)
                     }
-                    BinOp::Add if ca == Some(0) && ty != Type::Bool => Some(b),
+                    BinOp::Add if ca == Some(0) && !pred => Some(b),
                     BinOp::Sub if cb == Some(0) => Some(a),
                     BinOp::Mul if cb == Some(1) => Some(a),
                     BinOp::Mul if ca == Some(1) => Some(b),
-                    BinOp::And if ty == Type::Bool && cb == Some(1) => Some(a),
-                    BinOp::And if ty == Type::Bool && ca == Some(1) => Some(b),
-                    BinOp::And if ty == Type::Bool && (ca == Some(0) || cb == Some(0)) => {
+                    BinOp::And if pred && cb == Some(1) => Some(a),
+                    BinOp::And if pred && ca == Some(1) => Some(b),
+                    BinOp::And if pred && (ca == Some(0) || cb == Some(0)) => {
                         let hb = g.hb(id);
                         Some(Src::of(g.const_bool(false, hb)))
                     }
-                    BinOp::Or if ty == Type::Bool && cb == Some(0) => Some(a),
-                    BinOp::Or if ty == Type::Bool && ca == Some(0) => Some(b),
-                    BinOp::Or if ty == Type::Bool && (ca == Some(1) || cb == Some(1)) => {
+                    BinOp::Or if pred && cb == Some(0) => Some(a),
+                    BinOp::Or if pred && ca == Some(0) => Some(b),
+                    BinOp::Or if pred && (ca == Some(1) || cb == Some(1)) => {
                         let hb = g.hb(id);
                         Some(Src::of(g.const_bool(true, hb)))
                     }
@@ -149,6 +145,7 @@ fn algebraic(g: &mut Graph) -> usize {
                     // Only one way can fire: its predicate must hold.
                     Some(ways[0].1)
                 } else if changed && ways.len() >= 2 {
+                    let ty = ty.clone();
                     let hb = g.hb(id);
                     let m = g.add_node(NodeKind::Mux { ty }, ways.len() * 2, hb);
                     for (i, (p, v)) in ways.iter().enumerate() {
@@ -186,23 +183,30 @@ fn algebraic(g: &mut Graph) -> usize {
 /// Value numbering: pure nodes with identical kind and inputs are shared.
 /// Run-time constants (`Const`, `Addr`, `Param`) are shared globally;
 /// dynamic pure nodes only within one hyperblock (firing rates must match).
+///
+/// Constant values come from the source program, so they are numbered in
+/// a map with `std`'s flooding-resistant hasher; every other key is made
+/// of compiler-assigned ids and uses the fast one.
 fn cse(g: &mut Graph) -> usize {
     #[derive(Hash, PartialEq, Eq)]
     enum Key {
-        Konst(i64, Type),
         Address(cfgir::objects::ObjId),
         Parameter(usize),
         Bin(BinOp, Type, Src, Src, u32),
         Un(UnOp, Type, Src, u32),
         Kast(Type, Src, u32),
     }
-    let mut seen: HashMap<Key, NodeId> = HashMap::new();
+    let mut konsts: HashMap<(i64, Type), NodeId> = HashMap::new();
+    let mut seen: FxHashMap<Key, NodeId> = FxHashMap::default();
+    let forward_input = |g: &Graph, id| g.input(id, 0).filter(|a| !a.back).map(|a| a.src);
     let mut n = 0;
     for id in pegasus::topo_order(g) {
-        let key = match g.kind(id).clone() {
-            NodeKind::Const { value, ty } => Key::Konst(ty.normalize(value), ty),
-            NodeKind::Addr { obj } => Key::Address(obj),
-            NodeKind::Param { index, .. } => Key::Parameter(index),
+        let leader = match g.kind(id) {
+            NodeKind::Const { value, ty } => {
+                *konsts.entry((ty.normalize(*value), ty.clone())).or_insert(id)
+            }
+            NodeKind::Addr { obj } => *seen.entry(Key::Address(*obj)).or_insert(id),
+            NodeKind::Param { index, .. } => *seen.entry(Key::Parameter(*index)).or_insert(id),
             NodeKind::BinOp { op, ty } => {
                 let (Some(a), Some(b)) = (g.input(id, 0), g.input(id, 1)) else { continue };
                 if a.back || b.back {
@@ -214,34 +218,21 @@ fn cse(g: &mut Graph) -> usize {
                 } else {
                     (a.src, b.src)
                 };
-                Key::Bin(op, ty, x, y, g.hb(id))
+                *seen.entry(Key::Bin(*op, ty.clone(), x, y, g.hb(id))).or_insert(id)
             }
             NodeKind::UnOp { op, ty } => {
-                let Some(a) = g.input(id, 0) else { continue };
-                if a.back {
-                    continue;
-                }
-                Key::Un(op, ty, a.src, g.hb(id))
+                let Some(a) = forward_input(g, id) else { continue };
+                *seen.entry(Key::Un(*op, ty.clone(), a, g.hb(id))).or_insert(id)
             }
             NodeKind::Cast { ty } => {
-                let Some(a) = g.input(id, 0) else { continue };
-                if a.back {
-                    continue;
-                }
-                Key::Kast(ty, a.src, g.hb(id))
+                let Some(a) = forward_input(g, id) else { continue };
+                *seen.entry(Key::Kast(ty.clone(), a, g.hb(id))).or_insert(id)
             }
             _ => continue,
         };
-        match seen.get(&key) {
-            Some(&leader) => {
-                if g.has_uses(id, 0) {
-                    g.replace_all_uses(Src::of(id), Src::of(leader));
-                    n += 1;
-                }
-            }
-            None => {
-                seen.insert(key, id);
-            }
+        if leader != id && g.has_uses(id, 0) {
+            g.replace_all_uses(Src::of(id), Src::of(leader));
+            n += 1;
         }
     }
     n

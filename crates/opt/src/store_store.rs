@@ -13,6 +13,7 @@
 use crate::util::{addr_of, bypass_token, mem_ops, pred_of, pred_port, size_of};
 use analysis::affine::{affine_of, always_equal};
 use analysis::PredicateMap;
+use bdd::fx::FxHashSet;
 use pegasus::{direct_token_deps, Graph, NodeId, NodeKind, Src};
 
 /// Result counts of one run.
@@ -29,7 +30,7 @@ pub struct StoreStoreStats {
 pub(crate) fn reaches_forward(g: &Graph, from: NodeId, to: NodeId) -> bool {
     let mut fuel = 50_000;
     let mut stack = vec![from];
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = FxHashSet::default();
     while let Some(n) = stack.pop() {
         if fuel == 0 {
             return true; // conservative

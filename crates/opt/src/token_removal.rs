@@ -16,10 +16,10 @@
 use crate::util::{addr_of, bypass_token, mem_ops, size_of};
 use analysis::affine::{affine_of, may_overlap, Term};
 use analysis::loopinfo::IvSubst;
+use bdd::fx::{FxHashMap, FxHashSet};
 use cfgir::objects::ObjectKind;
 use cfgir::AliasOracle;
 use pegasus::{direct_token_deps, set_token_input, Graph, NodeId, NodeKind, Src};
-use std::collections::HashMap;
 
 /// Which disambiguation heuristics to use.
 #[derive(Debug, Clone, Copy)]
@@ -50,7 +50,7 @@ fn provably_disjoint(
     g: &Graph,
     oracle: &AliasOracle<'_>,
     dis: &Disambiguation,
-    iv_ctx: &HashMap<u32, IvSubst>,
+    iv_ctx: &FxHashMap<u32, IvSubst>,
     a: NodeId,
     b: NodeId,
 ) -> bool {
@@ -86,7 +86,7 @@ fn provably_disjoint(
 /// Removes provably unnecessary token edges. Returns the number of direct
 /// dependences dissolved.
 pub fn remove_token_edges(g: &mut Graph, oracle: &AliasOracle<'_>, dis: Disambiguation) -> usize {
-    let mut iv_ctx: HashMap<u32, IvSubst> = HashMap::new();
+    let mut iv_ctx: FxHashMap<u32, IvSubst> = FxHashMap::default();
     for hb in 0..g.num_hbs {
         if g.hb_is_loop.get(hb as usize).copied().unwrap_or(false) {
             iv_ctx.insert(hb, IvSubst::new(g, hb));
@@ -121,7 +121,7 @@ pub fn remove_token_edges(g: &mut Graph, oracle: &AliasOracle<'_>, dis: Disambig
         // keeping boundary nodes as-is.
         let mut kept: Vec<Src> = Vec::new();
         let mut work: Vec<Src> = deps.clone();
-        let mut seen: std::collections::HashSet<Src> = std::collections::HashSet::new();
+        let mut seen: FxHashSet<Src> = FxHashSet::default();
         let mut changed = false;
         while let Some(d) = work.pop() {
             if !seen.insert(d) {

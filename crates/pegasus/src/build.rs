@@ -13,6 +13,7 @@
 //!    treat the graph as a DAG.
 
 use crate::graph::{Graph, NodeId, NodeKind, Src, VClass};
+use bdd::fx::{FxHashMap, FxHashSet};
 use cfgir::dom::DomTree;
 use cfgir::func::{BlockId, Function, Instr, Reg, Terminator};
 use cfgir::hyperblock::{HyperblockId, Hyperblocks};
@@ -20,7 +21,6 @@ use cfgir::liveness::Liveness;
 use cfgir::loops::LoopForest;
 use cfgir::types::Type;
 use cfgir::AliasOracle;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Options controlling graph construction.
@@ -93,7 +93,7 @@ struct MemOp {
 /// merge, plus the slot assignment for each incoming CFG edge.
 struct HbEntry {
     /// reg -> merge node.
-    value_merges: HashMap<Reg, NodeId>,
+    value_merges: FxHashMap<Reg, NodeId>,
     /// The token merge (or the initial-token node for the entry hyperblock).
     token_in: NodeId,
     /// The hyperblock's activation predicate: constant true for the entry
@@ -103,7 +103,7 @@ struct HbEntry {
     /// have no rate information in a self-timed implementation.
     activation: Src,
     /// (from_block, succ_index) -> merge input slot.
-    edge_slot: HashMap<(BlockId, usize), u16>,
+    edge_slot: FxHashMap<(BlockId, usize), u16>,
     /// Registers live into the hyperblock, sorted.
     live_in: Vec<Reg>,
 }
@@ -160,13 +160,13 @@ impl<'a> Builder<'a> {
         let hb = h.0;
         let live_in = self.live.live_in_sorted(seed);
         let edges = self.in_edges(h);
-        let mut edge_slot = HashMap::new();
+        let mut edge_slot = FxHashMap::default();
         for (i, e) in edges.iter().enumerate() {
             edge_slot.insert(*e, i as u16);
         }
         if edges.is_empty() {
             // The entry hyperblock: parameters and the initial token.
-            let mut value_merges = HashMap::new();
+            let mut value_merges = FxHashMap::default();
             for (idx, &p) in self.func.params.iter().enumerate() {
                 let ty = self.func.ty(p).clone();
                 let n = self.graph.add_node(NodeKind::Param { index: idx, ty }, 0, hb);
@@ -177,7 +177,7 @@ impl<'a> Builder<'a> {
             return HbEntry { value_merges, token_in, edge_slot, live_in, activation: Src::of(t) };
         }
         let nin = edges.len();
-        let mut value_merges = HashMap::new();
+        let mut value_merges = FxHashMap::default();
         for &r in &live_in {
             let ty = self.func.ty(r).clone();
             let vc = if ty == Type::Bool { VClass::Pred } else { VClass::Data };
@@ -194,19 +194,19 @@ impl<'a> Builder<'a> {
     fn build_hyperblock(&mut self, h: HyperblockId, entries: &[HbEntry]) -> Result<(), BuildError> {
         let hb = h.0;
         let blocks: Vec<BlockId> = self.hbs.blocks_of(h).to_vec();
-        let in_hb: std::collections::HashSet<BlockId> = blocks.iter().copied().collect();
+        let in_hb: FxHashSet<BlockId> = blocks.iter().copied().collect();
         let entry = &entries[h.index()];
 
         // Internal reachability between the hyperblock's blocks (acyclic).
         let reach = self.internal_reachability(&blocks, &in_hb);
-        let block_pos: HashMap<BlockId, usize> =
+        let block_pos: FxHashMap<BlockId, usize> =
             blocks.iter().enumerate().map(|(i, &b)| (b, i)).collect();
 
         // Per-block state, filled in RPO order (blocks_of is already RPO).
-        let mut env: Vec<HashMap<Reg, Src>> = vec![HashMap::new(); blocks.len()];
+        let mut env: Vec<FxHashMap<Reg, Src>> = vec![FxHashMap::default(); blocks.len()];
         let mut pred: Vec<Option<Src>> = vec![None; blocks.len()];
         // Incoming internal edges: target -> (edge predicate, source pos).
-        let mut internal_in: HashMap<BlockId, Vec<(Src, usize)>> = HashMap::new();
+        let mut internal_in: FxHashMap<BlockId, Vec<(Src, usize)>> = FxHashMap::default();
         let mut mem_ops: Vec<MemOp> = Vec::new();
         // Deferred returns: (pred, value).
         let mut returns: Vec<(Src, Option<Src>)> = Vec::new();
@@ -217,7 +217,7 @@ impl<'a> Builder<'a> {
             // Block predicate and environment at entry.
             if pos == 0 {
                 pred[pos] = Some(entry.activation);
-                let mut e = HashMap::new();
+                let mut e = FxHashMap::default();
                 for (&r, &m) in &entry.value_merges {
                     e.insert(r, Src::of(m));
                 }
@@ -236,7 +236,7 @@ impl<'a> Builder<'a> {
                 // would let the process-random hash seed pick the Mux
                 // creation order, and node numbering must be a pure
                 // function of the input (the waveform goldens diff it).
-                let mut merged: HashMap<Reg, Src> = HashMap::new();
+                let mut merged: FxHashMap<Reg, Src> = FxHashMap::default();
                 let mut first_env: Vec<(Reg, Src)> =
                     env[incoming[0].1].iter().map(|(&r, &s)| (r, s)).collect();
                 first_env.sort_unstable_by_key(|&(r, _)| r);
@@ -379,7 +379,7 @@ impl<'a> Builder<'a> {
         &mut self,
         ins: &Instr,
         pos: usize,
-        env: &mut [HashMap<Reg, Src>],
+        env: &mut [FxHashMap<Reg, Src>],
         bpred: Src,
         hb: u32,
         bid: BlockId,
@@ -475,10 +475,10 @@ impl<'a> Builder<'a> {
     fn internal_reachability(
         &self,
         blocks: &[BlockId],
-        in_hb: &std::collections::HashSet<BlockId>,
+        in_hb: &FxHashSet<BlockId>,
     ) -> Vec<Vec<bool>> {
         let n = blocks.len();
-        let pos: HashMap<BlockId, usize> =
+        let pos: FxHashMap<BlockId, usize> =
             blocks.iter().enumerate().map(|(i, &b)| (b, i)).collect();
         let mut reach = vec![vec![false; n]; n];
         // Blocks are in RPO: propagate backwards.
@@ -504,7 +504,7 @@ impl<'a> Builder<'a> {
         mem_ops: &[MemOp],
         entry_token: Src,
         reach: &[Vec<bool>],
-        block_pos: &HashMap<BlockId, usize>,
+        block_pos: &FxHashMap<BlockId, usize>,
         hb: u32,
     ) -> Src {
         let n = mem_ops.len();
@@ -597,7 +597,7 @@ impl<'a> Builder<'a> {
     }
 }
 
-fn lookup(env: &HashMap<Reg, Src>, r: Reg, block: BlockId) -> Result<Src, BuildError> {
+fn lookup(env: &FxHashMap<Reg, Src>, r: Reg, block: BlockId) -> Result<Src, BuildError> {
     env.get(&r).copied().ok_or(BuildError::UndefinedValue { reg: r, block })
 }
 

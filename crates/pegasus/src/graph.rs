@@ -17,6 +17,7 @@ pub struct NodeId(pub u32);
 
 impl NodeId {
     /// Index into the graph's node table.
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -40,11 +41,13 @@ pub struct Src {
 
 impl Src {
     /// Output port 0 of `node`.
+    #[inline]
     pub fn of(node: NodeId) -> Src {
         Src { node, port: 0 }
     }
 
     /// The token output of a load (port 1).
+    #[inline]
     pub fn token_of_load(node: NodeId) -> Src {
         Src { node, port: 1 }
     }
@@ -119,6 +122,7 @@ pub enum NodeKind {
 
 impl NodeKind {
     /// Number of output ports.
+    #[inline]
     pub fn num_outputs(&self) -> u16 {
         match self {
             NodeKind::Load { .. } => 2,
@@ -128,6 +132,7 @@ impl NodeKind {
     }
 
     /// The class of the given output port.
+    #[inline]
     pub fn output_class(&self, port: u16) -> VClass {
         match self {
             NodeKind::BinOp { op, ty } => {
@@ -169,6 +174,7 @@ impl NodeKind {
     }
 
     /// The class each input port must carry, given the node's input count.
+    #[inline]
     pub fn input_class(&self, port: u16) -> VClass {
         match self {
             NodeKind::BinOp { op, ty } => {
@@ -241,11 +247,13 @@ impl NodeKind {
     }
 
     /// Is this a memory side-effect operation (load or store)?
+    #[inline]
     pub fn is_memory(&self) -> bool {
         matches!(self, NodeKind::Load { .. } | NodeKind::Store { .. })
     }
 
     /// The may-access set of a memory operation.
+    #[inline]
     pub fn may_set(&self) -> Option<&ObjectSet> {
         match self {
             NodeKind::Load { may, .. } | NodeKind::Store { may, .. } => Some(may),
@@ -300,11 +308,13 @@ impl Graph {
     }
 
     /// Number of node slots (including removed ones).
+    #[inline]
     pub fn len(&self) -> usize {
         self.nodes.len()
     }
 
     /// Is the graph empty?
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
@@ -315,32 +325,38 @@ impl Graph {
     }
 
     /// Immutable node access.
+    #[inline]
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]
     }
 
     /// The node's kind.
+    #[inline]
     pub fn kind(&self, id: NodeId) -> &NodeKind {
         &self.nodes[id.index()].kind
     }
 
     /// Mutable access to a node's kind (for in-place rewrites such as
     /// predicate updates on memory operations).
+    #[inline]
     pub fn kind_mut(&mut self, id: NodeId) -> &mut NodeKind {
         &mut self.nodes[id.index()].kind
     }
 
     /// The hyperblock a node belongs to.
+    #[inline]
     pub fn hb(&self, id: NodeId) -> u32 {
         self.nodes[id.index()].hb
     }
 
     /// All node ids, including removed slots.
+    #[inline]
     pub fn ids(&self) -> impl Iterator<Item = NodeId> {
         (0..self.nodes.len() as u32).map(NodeId)
     }
 
     /// All live node ids.
+    #[inline]
     pub fn live_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.ids().filter(|&id| !matches!(self.kind(id), NodeKind::Removed))
     }
@@ -404,16 +420,19 @@ impl Graph {
     }
 
     /// The producer feeding input `port` of `id`.
+    #[inline]
     pub fn input(&self, id: NodeId, port: u16) -> Option<Input> {
         self.nodes[id.index()].inputs[port as usize]
     }
 
     /// Number of input slots of `id`.
+    #[inline]
     pub fn num_inputs(&self, id: NodeId) -> usize {
         self.nodes[id.index()].inputs.len()
     }
 
     /// The consumers of `id`'s outputs.
+    #[inline]
     pub fn uses(&self, id: NodeId) -> &[Use] {
         &self.uses[id.index()]
     }
@@ -428,6 +447,7 @@ impl Graph {
     }
 
     /// Does output `port` of `id` have any consumer?
+    #[inline]
     pub fn has_uses(&self, id: NodeId, port: u16) -> bool {
         self.uses[id.index()].iter().any(|u| u.src_port == port)
     }

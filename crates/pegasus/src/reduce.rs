@@ -70,11 +70,12 @@ pub fn topo_order(g: &Graph) -> Vec<NodeId> {
     let n = g.len();
     let mut state = vec![0u8; n];
     let mut order = Vec::with_capacity(n);
+    let mut stack: Vec<(NodeId, usize)> = Vec::new();
     for start in g.live_ids() {
         if state[start.index()] != 0 {
             continue;
         }
-        let mut stack: Vec<(NodeId, usize)> = vec![(start, 0)];
+        stack.push((start, 0));
         state[start.index()] = 1;
         while let Some(frame) = stack.last_mut() {
             let (id, next) = (frame.0, &mut frame.1);

@@ -978,6 +978,21 @@ mod tests {
         assert_eq!(out.machine.read_elem(&module, ObjId(obj as u32), 7), 14);
     }
 
+    /// The interpreter walks the syntax tree recursively, so the parser's
+    /// chain limit is what keeps a long flat sum from overflowing a 2 MB
+    /// thread stack: the longest accepted chain runs, a longer one is a
+    /// frontend error.
+    #[test]
+    fn long_operator_chains_run_or_fail_without_aborting() {
+        let sum =
+            |terms: usize| format!("int main(int n) {{ return {}n; }}", "n + ".repeat(terms - 1));
+        assert_eq!(ret_of(&sum(129), &[2]), Some(258));
+        for terms in [600, 10_000] {
+            let r = run_source(&sum(terms), "main", &[2], 1 << 20);
+            assert!(matches!(r, Err(InterpError::Frontend(_))), "{terms} terms must not run");
+        }
+    }
+
     #[test]
     fn out_of_bounds_reads_zero_and_writes_drop() {
         // Accessing far past every object: load yields 0, store is dropped —

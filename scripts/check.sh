@@ -31,6 +31,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> obs overhead smoke (blocking, <3% budget)"
 ./target/release/obs_smoke
 
+# Blocking: the benchmark doubles as a correctness gate. `cashperf all`
+# checks every job's result against its reference and exits non-zero on a
+# wrong one (~12 s). The traced oracle-fuzz run replays each compile one
+# layer at a time and exits non-zero if the replayed circuit or result
+# differs from `Compiler::compile`'s (~6 s).
+echo "==> cashperf all workloads, results checked (blocking)"
+./target/release/cashperf all --seed 0 --seconds 1
+echo "==> cashperf traced oracle-fuzz replay equivalence (blocking)"
+./target/release/cashperf --workload oracle-fuzz --seed 0 --seconds 1 --trace 1
+
 # Non-blocking: export the merged compiler+simulator Perfetto timeline
 # for a Figure 19 kernel (CI uploads target/obs/ as an artifact).
 echo "==> cashtrace merged Perfetto trace (informational)"
@@ -73,4 +83,4 @@ fi
 echo "==> cashwave VCD export (informational)"
 ./target/release/cashwave g721_e || echo "cashwave failed (non-blocking)"
 
-echo "OK: build, cashlint, tests, fmt and clippy all clean"
+echo "OK: build, cashlint, tests, fmt, clippy and the cashperf gates all clean"
