@@ -139,8 +139,8 @@ pub struct SimResult {
 impl SimResult {
     /// Serializes the aggregate simulation outcome in the shared
     /// `cash-stats-v1` JSON dialect (stable key order, no whitespace).
-    /// Per-node profiles and traces are exported separately
-    /// ([`SimProfile::to_json`], [`Trace::to_chrome_json`]).
+    /// Per-node profiles are rendered by [`pegasus::to_dot_heat`]; traces
+    /// are exported separately ([`Trace::to_chrome_json`]).
     pub fn to_json(&self) -> String {
         use std::fmt::Write;
         let mut s = format!(
@@ -275,24 +275,19 @@ pub fn simulate(
     observe(|| Executor::new(graph, machine, args, config).and_then(Executor::run))
 }
 
-/// Wraps one raw executor run with the shared telemetry (span, metrics,
+/// Wraps one raw executor run with the shared telemetry (span and
 /// flight note) and stamps the wall time.
 fn observe(run: impl FnOnce() -> Result<SimResult, SimError>) -> Result<SimResult, SimError> {
     let sp = obs::span::enter("sim.run");
     let out = run();
     let wall_us = sp.end_us();
-    obs::metrics::histogram("sim.us").observe(wall_us);
     match out {
         Ok(mut r) => {
             r.wall_us = wall_us;
-            obs::metrics::counter("sim.runs").inc();
-            obs::metrics::counter("sim.fired").add(r.fired);
-            obs::metrics::histogram("sim.cycles").observe(r.cycles);
             obs::flight::note("sim.run", "ok", r.cycles as i64, r.fired as i64);
             Ok(r)
         }
         Err(e) => {
-            obs::metrics::counter("sim.errors").inc();
             obs::flight::note("sim.run", "err", 0, 0);
             Err(e)
         }

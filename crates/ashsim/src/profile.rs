@@ -8,7 +8,7 @@
 //! it shows *which* operations serialize a circuit, not just how many
 //! cycles the whole run took.
 
-use pegasus::{Graph, NodeHeat, NodeId, NodeKind};
+use pegasus::{NodeHeat, NodeId, NodeKind};
 
 /// What a stalled node was waiting for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -127,42 +127,6 @@ impl SimProfile {
                 stall_frac: (n.stalled_total() as f64 / denom).min(1.0),
             })
             .collect()
-    }
-
-    /// Serializes the profile in the shared `cash-stats-v1` JSON dialect:
-    /// one object per live-and-active node, keyed by node id, in id order.
-    /// Nodes that neither fired nor stalled are omitted to keep lines
-    /// small.
-    pub fn to_json(&self, g: &Graph) -> String {
-        use std::fmt::Write;
-        let mut s = String::from("{\"cycles\":");
-        let _ = write!(s, "{}", self.cycles);
-        s.push_str(",\"nodes\":{");
-        let mut first = true;
-        for id in g.live_ids() {
-            let Some(n) = self.nodes.get(id.index()) else { continue };
-            if n.fires == 0 && n.stalled_total() == 0 {
-                continue;
-            }
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let _ = write!(
-                s,
-                "\"{id}\":{{\"op\":\"{}\",\"fires\":{},\"stalled\":{{\"data\":{},\"pred\":{},\"token\":{},\"lsq\":{},\"out\":{}}},\"last_fire\":{}}}",
-                kind_label(g.kind(id)),
-                n.fires,
-                n.stalled_data,
-                n.stalled_pred,
-                n.stalled_token,
-                n.stalled_lsq,
-                n.stalled_output,
-                n.last_fire.map_or("null".to_string(), |c| c.to_string()),
-            );
-        }
-        s.push_str("}}");
-        s
     }
 }
 

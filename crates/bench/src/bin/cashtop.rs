@@ -18,7 +18,27 @@
 use std::collections::BTreeMap;
 use std::io::{Read, Seek, SeekFrom};
 
-use cash_bench::diff::{field_str, section_u64};
+/// First `"key":"<value>"` string field of the line. A hand-rolled
+/// scanner over our own serializer's output (fixed key order, no
+/// whitespace, no string escapes in the keyed fields), not a general JSON
+/// reader.
+fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let pat = format!("\"{key}\":\"");
+    let i = line.find(&pat)? + pat.len();
+    let rest = &line[i..];
+    Some(&rest[..rest.find('"')?])
+}
+
+/// First `"key":<digits>` after the first `"section":{` of the line. Our
+/// serializer's fixed key order guarantees the first match is the
+/// section's own field, not something nested deeper.
+fn section_u64(line: &str, section: &str, key: &str) -> Option<u64> {
+    let sec = &line[line.find(&format!("\"{section}\":{{"))?..];
+    let pat = format!("\"{key}\":");
+    let i = sec.find(&pat)? + pat.len();
+    let end = sec[i..].find(|c: char| !c.is_ascii_digit())? + i;
+    sec[i..end].parse().ok()
+}
 
 /// Aggregate for one pipeline stage across all records seen so far.
 #[derive(Default)]

@@ -69,7 +69,7 @@ fn main() {
         json.len()
     );
     if p.spans.is_empty() {
-        eprintln!("cashtrace: no compiler spans captured (is CASH_OBS=0 set?)");
+        eprintln!("cashtrace: no compiler spans captured");
         std::process::exit(1);
     }
 }

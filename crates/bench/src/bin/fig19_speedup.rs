@@ -1,11 +1,17 @@
 //! Figure 19: performance by optimization set × memory system. The paper's
-//! observations to reproduce in shape:
+//! observations:
 //!
 //! - "Medium" (pointer analysis + disambiguation + induction-variable
 //!   pipelining) captures most of the gain;
 //! - performance improves with memory bandwidth (LSQ ports), but even
 //!   small amounts of bandwidth are used effectively;
 //! - optimizations compose: Full ≥ Medium ≥ None.
+//!
+//! This binary asserts, on suite-total cycles, that Medium and Full each
+//! take no more cycles than None on every memory system, and that Full
+//! with 4 LSQ ports takes no more than Full with 1. Full ≥ Medium does
+//! not hold here: §5.1 merging costs Full a few hundred cycles on every
+//! system, so it is printed but not claimed.
 //!
 //! Run with `cargo run -p cash-bench --bin fig19_speedup`.
 
@@ -18,15 +24,15 @@ fn main() {
     println!();
     print!("{:<14}", "kernel");
     for (name, _) in &systems {
-        print!(" | {name:>22}");
+        print!(" | {name:>15}");
     }
     println!();
     print!("{:<14}", "");
     for _ in &systems {
-        print!(" | {:>7} {:>7} {:>6}", "Medium", "Full", "1p/4p");
+        print!(" | {:>7} {:>7}", "Medium", "Full");
     }
     println!();
-    rule(14 + systems.len() * 25);
+    rule(14 + systems.len() * 18);
 
     let mut totals = vec![[0u64; 3]; systems.len()];
     let mut stats = Vec::new();
@@ -62,22 +68,17 @@ fn main() {
         print!("{:<14}", w.name);
         stats.extend(lines);
         for (k, [base, med, full]) in cycles.into_iter().enumerate() {
-            print!(
-                " | {:>7} {:>7} {:>6}",
-                speedup(base, med).trim(),
-                speedup(base, full).trim(),
-                ""
-            );
+            print!(" | {:>7} {:>7}", speedup(base, med).trim(), speedup(base, full).trim());
             totals[k][0] += base;
             totals[k][1] += med;
             totals[k][2] += full;
         }
         println!();
     }
-    rule(14 + systems.len() * 25);
-    print!("{:<14}", "geomean-ish");
+    rule(14 + systems.len() * 18);
+    print!("{:<14}", "suite total");
     for t in &totals {
-        print!(" | {:>7} {:>7} {:>6}", speedup(t[0], t[1]).trim(), speedup(t[0], t[2]).trim(), "");
+        print!(" | {:>7} {:>7}", speedup(t[0], t[1]).trim(), speedup(t[0], t[2]).trim());
     }
     println!();
 
@@ -98,6 +99,9 @@ fn main() {
         assert!(t[1] <= t[0], "Medium must not lose to None on system {k}");
     }
     assert!(totals[3][2] <= totals[1][2], "4 ports must not lose to 1 port");
-    println!("\nPASS: Figure 19 shape reproduced (Full ≥ Medium ≥ None; more ports help)");
+    println!(
+        "\nPASS: suite-total cycles: Medium ≤ None and Full ≤ None on every memory system; \
+         Full with 4 ports ≤ Full with 1 port"
+    );
     write_stats("fig19", &stats);
 }

@@ -22,7 +22,8 @@
 //! noise regardless of percentage. The gate therefore requires the delta
 //! to exceed the threshold *and* the floor before failing; the floor is
 //! deliberately small enough that any real per-event recording cost on
-//! these kernels (hundreds of thousands of spans/metrics) still trips it.
+//! these kernels (hundreds of thousands of spans and flight notes) still
+//! trips it.
 
 use std::time::Instant;
 

@@ -73,14 +73,19 @@ pub fn stats_line(
 }
 
 /// Writes the collected telemetry lines to `BENCH_<bench>.json` in the
-/// current directory, one JSON record per line.
+/// current directory, one JSON record per line. A failed write ends the
+/// process with exit status 1: a harness run that leaves no BENCH file
+/// must not look like a passing one.
 pub fn write_stats(bench: &str, lines: &[String]) {
     let path = format!("BENCH_{bench}.json");
     let mut out = lines.join("\n");
     out.push('\n');
     match std::fs::write(&path, out) {
         Ok(()) => println!("telemetry: {} records -> {path}", lines.len()),
-        Err(e) => eprintln!("telemetry: failed to write {path}: {e}"),
+        Err(e) => {
+            eprintln!("telemetry: failed to write {path}: {e}");
+            std::process::exit(1);
+        }
     }
 }
 

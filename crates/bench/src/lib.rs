@@ -1,7 +1,4 @@
 //! Benchmark harnesses: see the `bin` targets for table/figure
-//! regeneration and `benches/` for wall-clock microbenchmarks built on
-//! the self-contained [`microbench`] harness.
+//! regeneration and the debugging tools built on the same pipeline.
 
-pub mod diff;
 pub mod harness;
-pub mod microbench;

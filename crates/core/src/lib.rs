@@ -173,8 +173,6 @@ impl Compiler {
     pub fn compile(&self, source: &str) -> Result<Program, Error> {
         obs::flight::install_panic_hook();
         let (result, spans) = obs::span::capture(|| self.compile_uncaptured(source));
-        obs::metrics::counter("compile.runs").inc();
-        obs::metrics::flush_thread();
         result.map(|mut p| {
             p.spans = spans;
             p
@@ -182,7 +180,7 @@ impl Compiler {
     }
 
     fn compile_uncaptured(&self, source: &str) -> Result<Program, Error> {
-        let sp = obs::span::enter("compile");
+        let _sp = obs::span::enter("compile");
         let cfg = self.opt_config();
         let mut module = minic::compile_to_module(source)?;
         let mut flat = cfgir::inline::inline_all(&module, &self.entry)?;
@@ -215,8 +213,6 @@ impl Compiler {
             pegasus::verify(&graph)?;
             (graph, report, static_unopt)
         };
-        let us = sp.end_us();
-        obs::metrics::histogram("compile.us").observe(us);
         Ok(Program {
             module,
             graph,
@@ -295,15 +291,6 @@ impl Program {
         pegasus::to_dot_heat(&self.graph, &self.entry, &profile.node_heat())
     }
 
-    /// Graphviz rendering with a lint overlay: diagnosed nodes are
-    /// outlined and labelled with their rule, race pairs are linked —
-    /// mirroring the heat-map overlay. Pass the diagnostics from
-    /// [`OptReport::lint`] (`self.report.lint.diags`) or a fresh
-    /// [`Program::lint`] run.
-    pub fn to_dot_lint(&self, diags: &[LintDiag]) -> String {
-        pegasus::to_dot_lint(&self.graph, &self.entry, &lint::overlay(diags))
-    }
-
     /// Graphviz rendering with the dynamic critical path overlaid: nodes
     /// the path visits are filled orange by visit count, critical edges
     /// are bold and labelled with their attributed cycles. Collect the
@@ -345,11 +332,6 @@ impl Program {
     /// simulated circuit and memory system (cycles).
     pub fn merged_trace_json(&self, trace: &Trace) -> String {
         obs::perfetto::merge_chrome_trace(&self.trace_to_chrome_json(trace), &self.spans)
-    }
-
-    /// Serializes a profiled run's per-node profile as JSON.
-    pub fn profile_to_json(&self, profile: &SimProfile) -> String {
-        profile.to_json(&self.graph)
     }
 
     /// Number of live nodes in the circuit (the paper's IR-size metric).

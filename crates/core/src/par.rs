@@ -60,10 +60,6 @@ where
                     let item = tasks[i].lock().expect("task slot").take().expect("task taken once");
                     local.push((i, f(item)));
                 }
-                // Fold this worker's metric shard into the global registry
-                // before the thread (and its thread-locals) go away, so
-                // sweep aggregates are complete under any CASH_THREADS.
-                obs::metrics::flush_thread();
                 local
             }));
         }

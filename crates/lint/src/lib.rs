@@ -27,7 +27,7 @@ mod rate;
 mod token;
 
 use cfgir::AliasOracle;
-use pegasus::{Graph, LintOverlay, NodeId};
+use pegasus::{Graph, NodeId};
 use std::fmt;
 
 /// A lint rule. Rule names are stable: they appear in `cash-stats-v1`
@@ -186,21 +186,6 @@ impl LintReport {
     }
 }
 
-/// Converts diagnostics into a DOT overlay: flagged nodes are outlined and
-/// race pairs linked, mirroring the profiler's heat overlay.
-pub fn overlay(diags: &[LintDiag]) -> LintOverlay {
-    let mut ov = LintOverlay::default();
-    for d in diags {
-        ov.marks.push((d.node, d.rule.name().to_string()));
-        if d.rule == Rule::TokenRace {
-            if let Some(&other) = d.aux.first() {
-                ov.pairs.push((d.node, other, d.rule.name().to_string()));
-            }
-        }
-    }
-    ov
-}
-
 #[cfg(test)]
 pub(crate) mod testutil {
     //! Source-to-graph compilation for rule unit tests, mirroring
@@ -290,21 +275,5 @@ mod tests {
         assert_eq!(counts[Rule::UngatedEntry as usize], ("ungated_entry", 1));
         assert_eq!(counts[Rule::MuxOverlap as usize], ("mux_overlap", 0));
         assert!(!report.is_clean());
-    }
-
-    #[test]
-    fn overlay_marks_and_pairs() {
-        let diags = vec![LintDiag {
-            rule: Rule::TokenRace,
-            node: pegasus::NodeId(5),
-            aux: vec![pegasus::NodeId(9)],
-            message: "race".into(),
-        }];
-        let ov = overlay(&diags);
-        assert_eq!(ov.marks, vec![(pegasus::NodeId(5), "token_race".to_string())]);
-        assert_eq!(
-            ov.pairs,
-            vec![(pegasus::NodeId(5), pegasus::NodeId(9), "token_race".to_string())]
-        );
     }
 }

@@ -3,41 +3,34 @@
 //! Every other layer of the reproduction — the MiniC frontend, CFG
 //! construction, the optimizer's pass manager, the static lint, the
 //! simulator, the differential harness and the bench binaries — reports
-//! into this one dependency-free crate. It provides four services:
+//! into this one dependency-free crate. It provides three services:
 //!
 //! - **Spans** ([`span`]): hierarchical RAII timing guards over a
 //!   thread-local stack. A [`span::capture`] around a pipeline run
 //!   collects the finished spans (name, depth, start, duration) so the
 //!   compile→opt→lint→sim chain can be exported as additive
 //!   `cash-stats-v1` fields and merged into a Perfetto timeline.
-//! - **Metrics** ([`metrics`]): a registry of named counters, high-water
-//!   gauges and log-scale histograms. The hot path writes to plain
-//!   per-thread shards (no atomics, no locks); shards merge into global
-//!   atomic totals with commutative operations only (add, max), so
-//!   aggregate values are identical under any `CASH_THREADS`.
 //! - **Flight recorder** ([`flight`]): an always-on fixed-capacity ring
 //!   of recent span/event records per thread, dumped automatically on
 //!   panic (via [`flight::install_panic_hook`]) and embedded by hand in
 //!   deadlock diagnoses, lint hard errors and oracle mismatches — every
 //!   failure report carries its last-N-events context.
-//! - **Exporters** ([`perfetto`], [`stream`]): compiler spans rendered as
-//!   Chrome trace events mergeable into the simulator's existing trace
-//!   JSON, and a line-buffered JSONL sink (`CASH_STATS_STREAM`) that lets
-//!   `cashtop` tail a live sweep.
+//! - **Exporters** ([`perfetto`], [`stream`], [`vcd`]): compiler spans
+//!   rendered as Chrome trace events mergeable into the simulator's
+//!   existing trace JSON, a line-buffered JSONL sink
+//!   (`CASH_STATS_STREAM`) that lets `cashtop` tail a live sweep, and
+//!   the VCD writer behind `cashwave`.
 //!
 //! # Overhead discipline
 //!
-//! Recording is gated on [`enabled`] (default on; kill with `CASH_OBS=0`
-//! or [`set_enabled`]), and the *entire* runtime compiles down to no-ops
-//! under the `noop` cargo feature. Span guards always read the monotonic
-//! clock so wall-time telemetry (`opt.us`, `sim.us`) stays populated even
-//! with recording off; everything else — capture buffers, metric shards,
-//! flight notes — is skipped when disabled. The `obs_smoke` bench binary
-//! A/B-tests enabled vs. disabled in one process and gates the delta at
-//! 3%.
+//! Recording is gated on [`enabled`] (default on; switched per process
+//! with [`set_enabled`]). Span guards always read the monotonic clock so
+//! wall-time telemetry (`opt.us`, `sim.us`) stays populated even with
+//! recording off; capture buffers and flight notes are skipped when
+//! disabled. The `obs_smoke` bench binary A/B-tests enabled vs. disabled
+//! in one process and gates the delta at 3%.
 
 pub mod flight;
-pub mod metrics;
 pub mod perfetto;
 pub mod span;
 pub mod stream;
@@ -45,35 +38,21 @@ pub mod vcd;
 
 pub use span::{spans_to_json, SpanRec};
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// 0 = unresolved, 1 = off, 2 = on.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
+static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Is recording on? Resolved once from `CASH_OBS` (anything but `0`/`off`
-/// enables; unset enables), overridable at run time with [`set_enabled`].
-/// Always `false` under the `noop` feature.
+/// Is recording on? On by default; see [`set_enabled`].
 #[inline]
 pub fn enabled() -> bool {
-    if cfg!(feature = "noop") {
-        return false;
-    }
-    match ENABLED.load(Ordering::Relaxed) {
-        0 => {
-            let on =
-                !matches!(std::env::var("CASH_OBS").as_deref(), Ok("0") | Ok("off") | Ok("false"));
-            ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-        1 => false,
-        _ => true,
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Forces recording on or off for the whole process — the in-process A/B
-/// switch used by the `obs_smoke` overhead gate (and tests).
+/// switch used by the `obs_smoke` overhead gate, `cashperf-trace`'s
+/// on/off differential, and tests.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -83,7 +62,7 @@ mod tests {
     #[test]
     fn the_kill_switch_toggles() {
         set_enabled(true);
-        assert!(enabled() || cfg!(feature = "noop"));
+        assert!(enabled());
         set_enabled(false);
         assert!(!enabled());
         set_enabled(true);

@@ -177,10 +177,6 @@ mod tests {
             }
             outer.end_us();
         });
-        if cfg!(feature = "noop") {
-            assert!(spans.is_empty());
-            return;
-        }
         assert_eq!(spans.len(), 2);
         assert_eq!((spans[0].name, spans[0].depth), ("inner", 1));
         assert_eq!((spans[1].name, spans[1].depth), ("outer", 0));
@@ -195,10 +191,6 @@ mod tests {
             drop(straddler);
             let _in = enter("in");
         });
-        if cfg!(feature = "noop") {
-            assert!(spans.is_empty());
-            return;
-        }
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].name, "in");
         // The thread-local depth is back to 0: a fresh capture nests from 0.
@@ -216,15 +208,11 @@ mod tests {
             let ((), inner) = capture(|| {
                 let _b = enter("b");
             });
-            if !cfg!(feature = "noop") {
-                assert_eq!(inner.len(), 1);
-                assert_eq!(inner[0].name, "b");
-            }
+            assert_eq!(inner.len(), 1);
+            assert_eq!(inner[0].name, "b");
         });
-        if !cfg!(feature = "noop") {
-            assert_eq!(outer.len(), 1);
-            assert_eq!(outer[0].name, "a");
-        }
+        assert_eq!(outer.len(), 1);
+        assert_eq!(outer[0].name, "a");
     }
 
     #[test]

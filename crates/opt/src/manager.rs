@@ -429,9 +429,8 @@ fn span_name(pass: &'static str) -> &'static str {
 /// first `pass_limit` invocations of the full pipeline and nothing else.
 ///
 /// The invocation runs under an `obs` span (always timed — the span clock
-/// is the source of `PassStat::wall_micros`), feeds the shared metrics
-/// registry, and leaves a flight-recorder note so crash reports show which
-/// passes ran last.
+/// is the source of `PassStat::wall_micros`) and leaves a flight-recorder
+/// note so crash reports show which passes ran last.
 ///
 /// Under `debug_assertions`, every invocation is followed by the full
 /// structural verifier and the static lint; any finding is a hard error
@@ -453,8 +452,6 @@ fn timed(
     let rewrites = f(g);
     let wall_micros = sp.end_us();
     obs::flight::note("opt.pass", name, rewrites as i64, round.map_or(-1, |r| r as i64));
-    obs::metrics::histogram("opt.pass.us").observe(wall_micros);
-    obs::metrics::counter("opt.rewrites").add(rewrites as u64);
     if ctl.sabotage == Some(name) {
         ctl.sabotage = None;
         ctl.sabotaged = true;
@@ -681,7 +678,6 @@ pub fn optimize(g: &mut Graph, oracle: &AliasOracle<'_>, cfg: &OptConfig) -> Opt
         let diags = lint::lint(g, oracle, &lint_config(cfg));
         let micros = sp.end_us();
         obs::flight::note("lint.final", "diags", diags.len() as i64, micros as i64);
-        obs::metrics::histogram("lint.us").observe(micros);
         report.lint = lint::LintReport { diags, micros };
     }
     report

@@ -8,7 +8,6 @@
 //! the circuit diagram into a heat map of where tokens serialize.
 
 use crate::graph::{Graph, NodeId, NodeKind, VClass};
-use bdd::fx::FxHashMap;
 use std::fmt::Write;
 
 /// Per-node measurements for the heat-map overlay ([`to_dot_heat`]).
@@ -24,65 +23,9 @@ pub struct NodeHeat {
     pub stall_frac: f64,
 }
 
-/// Lint findings for the [`to_dot_lint`] overlay, mirroring the heat-map
-/// overlay: flagged nodes are outlined in red and annotated with the rule
-/// that fired; offending pairs (e.g. unordered may-aliasing memory
-/// operations) are drawn as labelled red edges between the two nodes.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LintOverlay {
-    /// Nodes to outline, each with a short annotation added to its label.
-    pub marks: Vec<(NodeId, String)>,
-    /// Node pairs to connect with an explicit labelled diagnostic edge.
-    pub pairs: Vec<(NodeId, NodeId, String)>,
-}
-
 /// Renders `g` as a DOT digraph.
 pub fn to_dot(g: &Graph, title: &str) -> String {
     render(g, title, None)
-}
-
-/// Renders `g` with lint findings overlaid: flagged nodes get a thick
-/// crimson outline and their label grows a `!rule` line per finding; each
-/// diagnostic pair becomes an undirected bold crimson edge labelled with
-/// its rule, so a race shows up as a visible link between the two
-/// unordered operations.
-pub fn to_dot_lint(g: &Graph, title: &str, overlay: &LintOverlay) -> String {
-    let mut marks: FxHashMap<NodeId, String> = FxHashMap::default();
-    for (id, note) in &overlay.marks {
-        let slot = marks.entry(*id).or_default();
-        slot.push_str("\\n!");
-        slot.push_str(&escape(note));
-    }
-    let mut s = render(g, title, None);
-    // Splice the outline attributes in by re-rendering the flagged nodes:
-    // simpler than threading a third mode through `render`, and the node
-    // statement appended last wins in Graphviz.
-    let closing = s.rfind('}').unwrap_or(s.len());
-    s.truncate(closing);
-    for (id, note) in &marks {
-        if matches!(g.kind(*id), NodeKind::Removed) {
-            continue;
-        }
-        let _ = writeln!(
-            s,
-            "  {} [label=\"{}\\n{}{}\" color=crimson penwidth=3.0];",
-            id.index(),
-            node_label(g, *id),
-            id,
-            note,
-        );
-    }
-    for (a, b, note) in &overlay.pairs {
-        let _ = writeln!(
-            s,
-            "  {} -> {} [style=bold color=crimson dir=none constraint=false label=\"{}\"];",
-            a.index(),
-            b.index(),
-            escape(note),
-        );
-    }
-    let _ = writeln!(s, "}}");
-    s
 }
 
 /// Critical-path measurements for the [`to_dot_crit`] overlay: how often
@@ -134,10 +77,6 @@ pub fn to_dot_crit(g: &Graph, title: &str, overlay: &CritOverlay) -> String {
     }
     let _ = writeln!(s, "}}");
     s
-}
-
-fn escape(t: &str) -> String {
-    t.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn node_label(g: &Graph, id: NodeId) -> String {
@@ -295,23 +234,6 @@ mod tests {
         assert!(dot.contains("f=4 s=50%"), "{dot}");
         // Plain mode is unchanged by the overlay's existence.
         assert!(!to_dot(&g, "plain").contains("fillcolor"));
-    }
-
-    #[test]
-    fn lint_overlay_outlines_nodes_and_links_pairs() {
-        let g = tiny_graph();
-        let ids: Vec<_> = g.live_ids().collect();
-        let overlay = LintOverlay {
-            marks: vec![(ids[2], "token_unreachable".into())],
-            pairs: vec![(ids[0], ids[2], "token_race".into())],
-        };
-        let dot = to_dot_lint(&g, "lint", &overlay);
-        assert!(dot.contains("color=crimson penwidth=3.0"), "{dot}");
-        assert!(dot.contains("!token_unreachable"), "{dot}");
-        assert!(dot.contains("dir=none constraint=false label=\"token_race\""), "{dot}");
-        assert!(dot.ends_with("}\n"), "{dot:?}");
-        // Plain mode is unchanged by the overlay's existence.
-        assert!(!to_dot(&g, "plain").contains("crimson"));
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub mod reduce;
 pub mod verify;
 
 pub use build::{build, BuildError, BuildOptions};
-pub use dot::{to_dot, to_dot_crit, to_dot_heat, to_dot_lint, CritOverlay, LintOverlay, NodeHeat};
+pub use dot::{to_dot, to_dot_crit, to_dot_heat, CritOverlay, NodeHeat};
 pub use flat::{FlatPorts, FlatUse};
 pub use graph::{Graph, Input, Node, NodeId, NodeKind, Src, Use, VClass};
 pub use reduce::{

@@ -147,7 +147,6 @@ fn with_flight_tail(mut detail: String) -> String {
 /// first failure to a pass invocation.
 pub fn diff_source(src: &str, args: &[i64], opts: &DiffOptions) -> DiffOutcome {
     let _sp = obs::span::enter("oracle.diff");
-    obs::metrics::counter("oracle.checks").inc();
     let oracle = match run_oracle(src, args, opts.fuel) {
         Ok(o) => o,
         Err(e) => return DiffOutcome::OracleError(e),
@@ -167,7 +166,6 @@ pub fn diff_source(src: &str, args: &[i64], opts: &DiffOptions) -> DiffOutcome {
                     } else {
                         format!("static lint: {}", diags[0])
                     };
-                    obs::metrics::counter("oracle.fails").inc();
                     obs::flight::note("oracle.fail", "static_lint", diags.len() as i64, 0);
                     let detail = with_flight_tail(detail);
                     let pass = bisect_static(src, level, opts, &program);
@@ -184,7 +182,6 @@ pub fn diff_source(src: &str, args: &[i64], opts: &DiffOptions) -> DiffOutcome {
             },
             Err(e) => e.clone(),
         };
-        obs::metrics::counter("oracle.fails").inc();
         obs::flight::note("oracle.fail", "mismatch", 0, 0);
         let detail = with_flight_tail(detail);
         let pass = bisect(src, args, level, opts, &oracle);

@@ -135,14 +135,10 @@ fn heat_map_overlay_reflects_the_profile() {
     assert!(dot.contains("fillcolor=\"0.000 0.000 1.000\""));
 }
 
-/// Profile and combined stats serialize under the shared JSON schema.
+/// Combined stats serialize under the shared JSON schema.
 #[test]
 fn telemetry_shares_one_json_schema() {
     let (p, r) = observed(OptLevel::Full, 8);
-    let prof_json = p.profile_to_json(r.profile.as_ref().unwrap());
-    assert!(prof_json.starts_with("{\"cycles\":"));
-    assert!(prof_json.contains("\"stalled\":{\"data\":"));
-
     let rec = cash::StatsRecord {
         bench: "test",
         kernel: "loop",
